@@ -10,8 +10,7 @@ from .optim import Adam
 from .losses import (GaussianParams, coral, gaussian_w2, icoral,
                      kl_to_standard_normal, l1_reconstruction,
                      sliced_wasserstein_discrepancy, softmax_cross_entropy)
-from .model import (Architecture, LatentSample, Model, load_checkpoint,
-                    save_checkpoint)
+from .model import Architecture, Model, load_checkpoint, save_checkpoint
 from .data import (Batch, SynthConfig, ZslDataset, batch_iter, load_dataset,
                    minmax_features, save_dataset, synth_generate)
 from .training import (AblationFlags, TrainSchedule, TrainingDivergence,

@@ -95,9 +95,6 @@ class ZslDataset:
                         f"{name} sample {int(i)} has class "
                         f"{int(self.labels[int(i)])} outside its allowed set")
 
-    def attributes_for(self, labels):
-        return self.attributes[np.asarray(labels, dtype=np.int64)]
-
 
 def save_dataset(ds, path):
     ds.validate()

@@ -15,10 +15,6 @@ from .nn import Linear
 from .optim import Adam
 from .tensor import Tensor
 
-# per-unseen-class CZSL synthesis presets by dataset size tier
-CZSL_COUNT_PRESETS = {"large": 800, "medium": 400, "small": 200}
-
-
 @dataclass
 class EvalCounts:
     unseen: int = 200   # synthesized latents per unseen class
@@ -26,7 +22,7 @@ class EvalCounts:
 
 
 GZSL_DEFAULT_COUNTS = EvalCounts(unseen=400, seen=200)
-CZSL_DEFAULT_COUNTS = EvalCounts(unseen=CZSL_COUNT_PRESETS["small"], seen=0)
+CZSL_DEFAULT_COUNTS = EvalCounts(unseen=200, seen=0)
 
 
 def _gaussian_of_attrs(model, attrs):

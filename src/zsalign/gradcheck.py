@@ -1,114 +1,67 @@
-"""Finite-difference validation of every loss term on small random nets."""
+"""Finite-difference validation of every loss term on small random nets.
+
+The terms are built by the same functions the training steps build them
+with (`training.joint_terms` and `training.swd`), so the suite checks the
+graph that trains rather than a copy of it.
+"""
 
 import numpy as np
 
-from . import losses
+from .data import Batch
 from .model import Architecture, Model
 from .rng import Rng
-from .tensor import Tensor, finite_difference_check, softmax
+from .tensor import Tensor, finite_difference_check
+from .training import joint_terms, swd
 
 REL_TOL = 1e-4
+N_DIRECTIONS = 4
 
 TERM_NAMES = ("vae_x", "vae_a", "rec_x", "rec_a", "cls", "dis1", "dis2",
               "da", "icoral")
 
 
 def _small_setup(seed):
-    rng = Rng(seed)
-    r_model, r_data = rng.spawn(2)
+    r_model, r_data = Rng(seed).spawn(2)
     arch = Architecture(visual_dim=7, attr_dim=5, n_seen_classes=3,
                         structure_dim=6, latent_dim=4, common_hidden=5,
                         dec_visual_hidden=5, dec_semantic_hidden=5)
     model = Model(arch, r_model, dtype=np.float64)
-    batch = 6
-    x = r_data.standard_normal(batch, arch.visual_dim, dtype=np.float64)
-    a = r_data.standard_normal(batch, arch.attr_dim, dtype=np.float64)
-    y = r_data.integers(0, arch.n_seen_classes, size=batch)
-    au = r_data.standard_normal(4, arch.attr_dim, dtype=np.float64)
-    noise = {
-        "x": r_data.standard_normal(batch, arch.latent_dim, dtype=np.float64),
-        "a": r_data.standard_normal(batch, arch.latent_dim, dtype=np.float64),
-        "u": r_data.standard_normal(4, arch.latent_dim, dtype=np.float64),
-    }
-    dirs = r_data.unit_directions(4, arch.n_seen_classes, dtype=np.float64)
-    return model, x, a, y, au, noise, dirs
+    n = 6
+    batch = Batch(
+        x=r_data.standard_normal(n, arch.visual_dim, dtype=np.float64),
+        a=r_data.standard_normal(n, arch.attr_dim, dtype=np.float64),
+        y=r_data.integers(0, arch.n_seen_classes, size=n),
+        unseen_attrs=r_data.standard_normal(4, arch.attr_dim,
+                                            dtype=np.float64))
+    return model, batch
 
 
-def _sample(model, g, noise):
-    return g.mu + (g.logvar * 0.5).exp() * Tensor(noise)
+def loss_terms(model, batch, seed):
+    """Each loss term as a zero-argument closure that re-runs the whole
+    forward pass. Every call draws its noise and directions from a freshly
+    seeded `Rng(seed)`, so repeated calls are deterministic."""
 
+    def joint(name):
+        return lambda: joint_terms(model, batch, 1.0, Rng(seed))[name]
 
-def loss_terms(model, x, a, y, au, noise, dirs, gamma=1.0):
-    """Build each loss term as a zero-argument closure that re-runs the
-    whole forward pass (fixed noise and directions, so it is deterministic)."""
-
-    def branches():
-        sx = model.encode_visual(Tensor(x))
-        sa = model.encode_semantic(Tensor(a))
-        gx = model.encode_common(sx)
-        ga = model.encode_common(sa)
-        return sx, sa, gx, ga
-
-    def vae_x():
-        _, _, gx, _ = branches()
-        zx = _sample(model, gx, noise["x"])
-        return losses.l1_reconstruction(Tensor(x), model.decode_visual(zx)) + \
-            gamma * losses.kl_to_standard_normal(gx)
-
-    def vae_a():
-        _, _, _, ga = branches()
-        za = _sample(model, ga, noise["a"])
-        return losses.l1_reconstruction(Tensor(a), model.decode_semantic(za)) + \
-            gamma * losses.kl_to_standard_normal(ga)
-
-    def rec_x():
-        _, _, _, ga = branches()
-        za = _sample(model, ga, noise["a"])
-        return losses.l1_reconstruction(Tensor(x), model.decode_visual(za))
-
-    def rec_a():
-        _, _, gx, _ = branches()
-        zx = _sample(model, gx, noise["x"])
-        return losses.l1_reconstruction(Tensor(a), model.decode_semantic(zx))
-
-    def cls():
-        sx, sa, _, _ = branches()
-        total = None
-        for s in (sx, sa):
-            for which in (1, 2):
-                term, _ = losses.softmax_cross_entropy(
-                    model.classify(which, s), y)
-                total = term if total is None else total + term
-        return total
-
-    def _swd(s):
-        p1 = softmax(model.classify(1, s))
-        p2 = softmax(model.classify(2, s))
-        return losses.sliced_wasserstein_discrepancy(p1, p2, dirs)
+    def swd_pair():
+        sx = model.encode_visual(Tensor(batch.x))
+        sa = model.encode_semantic(Tensor(batch.a))
+        dirs = Rng(seed).unit_directions(
+            N_DIRECTIONS, model.arch.n_seen_classes, dtype=np.float64)
+        return swd(model, sx, dirs), swd(model, sa, dirs)
 
     def dis1():
-        sx, sa, _, _ = branches()
-        return -_swd(sx) - _swd(sa)
+        px, pa = swd_pair()
+        return -px - pa
 
     def dis2():
-        sx, sa, _, _ = branches()
-        return _swd(sx) + _swd(sa)
+        px, pa = swd_pair()
+        return px + pa
 
-    def da():
-        _, _, gx, ga = branches()
-        return losses.gaussian_w2(gx, ga)
-
-    def icoral():
-        _, _, gx, _ = branches()
-        zx = _sample(model, gx, noise["x"])
-        su = model.encode_semantic(Tensor(au))
-        gu = model.encode_common(su)
-        zu = _sample(model, gu, noise["u"])
-        return losses.icoral(zx, zu)
-
-    return {"vae_x": vae_x, "vae_a": vae_a, "rec_x": rec_x, "rec_a": rec_a,
-            "cls": cls, "dis1": dis1, "dis2": dis2, "da": da,
-            "icoral": icoral}
+    terms = {name: joint(name) for name in TERM_NAMES
+             if name not in ("dis1", "dis2")}
+    return dict(terms, dis1=dis1, dis2=dis2)
 
 
 def run_gradcheck(seed=0, corrupt_term=None):
@@ -117,8 +70,8 @@ def run_gradcheck(seed=0, corrupt_term=None):
     `corrupt_term` injects a deliberate gradient corruption into that term
     (test hook): the check for it must then fail.
     """
-    model, x, a, y, au, noise, dirs = _small_setup(seed)
-    terms = loss_terms(model, x, a, y, au, noise, dirs)
+    model, batch = _small_setup(seed)
+    terms = loss_terms(model, batch, seed)
     params = model.all_params()
     results = []
     for name in TERM_NAMES:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, check_finite, softmax, sort_ascending_columns
+from .tensor import Tensor, as_tensor, softmax, sort_ascending_columns
 
 
 @dataclass
@@ -145,12 +145,3 @@ def icoral(seen_visual_latent, unseen_semantic_latent):
     """Negated coral: pushes the two batches' covariances apart."""
     return -coral(seen_visual_latent, unseen_semantic_latent)
 
-
-def validate_prediction(probs, tol=1e-6):
-    """Check rows lie on the probability simplex."""
-    probs = probs.data if isinstance(probs, Tensor) else np.asarray(probs)
-    check_finite(probs, "prediction")
-    if np.any(probs < 0):
-        raise ValueError("negative probability")
-    if np.any(np.abs(probs.sum(axis=1) - 1.0) > tol):
-        raise ValueError("prediction rows do not sum to 1")

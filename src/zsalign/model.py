@@ -36,13 +36,6 @@ GROUPS = ("enc_visual", "enc_semantic", "enc_common_trunk", "enc_common_mu",
           "enc_common_logvar", "dec_visual", "dec_semantic", "cls1", "cls2")
 
 
-@dataclass
-class LatentSample:
-    z: Tensor
-    gauss: GaussianParams
-    noise: np.ndarray
-
-
 class Model:
     def __init__(self, arch, rng, dtype=np.float32):
         arch.validate()
@@ -109,8 +102,7 @@ class Model:
 
     def reparameterize(self, g, rng):
         noise = rng.standard_normal(*g.mu.shape, dtype=self.dtype)
-        z = g.mu + (g.logvar * 0.5).exp() * Tensor(noise)
-        return LatentSample(z=z, gauss=g, noise=noise)
+        return g.mu + (g.logvar * 0.5).exp() * Tensor(noise)
 
     def decode_visual(self, z):
         return self.dec_visual(z)
@@ -127,13 +119,13 @@ class Model:
         g = self.encode_common(self.encode_visual(x))
         if use_mean:
             return g.mu
-        return self.reparameterize(g, rng).z
+        return self.reparameterize(g, rng)
 
     def latent_from_semantic(self, a, rng, use_mean=False):
         g = self.encode_common(self.encode_semantic(a))
         if use_mean:
             return g.mu
-        return self.reparameterize(g, rng).z
+        return self.reparameterize(g, rng)
 
 
 # ---- checkpoint container -----------------------------------------------

@@ -8,6 +8,11 @@ Per batch the loop runs:
      between the two classifiers (encoders/decoders frozen),
   3. `inner_repeats` encoder steps that minimize that discrepancy
      (classifiers frozen).
+
+The loss graph is written once, in `joint_terms`, `classification_loss`
+and `swd`. The three steps build from them, and so does the
+finite-difference suite in `gradcheck.py`, which therefore checks the
+gradients of the graph that trains.
 """
 
 from dataclasses import dataclass, field, asdict
@@ -101,62 +106,71 @@ def _term(name, t):
     return v
 
 
-def step_joint(model, batch, weights, opt, rng):
-    """One Adam step of the full objective over all parameter groups.
-    The adversarial discrepancy terms live in the two dedicated steps."""
+# ---- the loss graph: one definition, built by the three steps and by the
+# finite-difference suite in gradcheck.py ------------------------------------
+
+def classification_loss(model, sx, sa, y):
+    """Cross-entropy of both classifiers on both structure embeddings."""
+    cls = None
+    for s in (sx, sa):
+        for which in (1, 2):
+            term, _ = losses.softmax_cross_entropy(model.classify(which, s), y)
+            cls = term if cls is None else cls + term
+    return cls
+
+
+def swd(model, s, dirs):
+    """Sliced Wasserstein discrepancy between the two classifiers'
+    predictions on the structure embedding `s`."""
+    p1 = softmax(model.classify(1, s))
+    p2 = softmax(model.classify(2, s))
+    return losses.sliced_wasserstein_discrepancy(p1, p2, dirs)
+
+
+def joint_terms(model, batch, gamma, rng, with_icoral=True):
+    """Unweighted term tensors of the joint objective. Noise is drawn from
+    `rng` for the visual, then the semantic, then (only with the inverse
+    coral term) the unseen-class latents."""
     x = Tensor(batch.x)
     a = Tensor(batch.a)
     sx = model.encode_visual(x)
     sa = model.encode_semantic(a)
     gx = model.encode_common(sx)
     ga = model.encode_common(sa)
-    zx = model.reparameterize(gx, rng).z
-    za = model.reparameterize(ga, rng).z
+    zx = model.reparameterize(gx, rng)
+    za = model.reparameterize(ga, rng)
+    terms = {
+        "vae_x": losses.l1_reconstruction(x, model.decode_visual(zx)) +
+        gamma * losses.kl_to_standard_normal(gx),
+        "vae_a": losses.l1_reconstruction(a, model.decode_semantic(za)) +
+        gamma * losses.kl_to_standard_normal(ga),
+        "rec_x": losses.l1_reconstruction(x, model.decode_visual(za)),
+        "rec_a": losses.l1_reconstruction(a, model.decode_semantic(zx)),
+        "cls": classification_loss(model, sx, sa, batch.y),
+        "da": losses.gaussian_w2(gx, ga),
+    }
+    if with_icoral:
+        gu = model.encode_common(
+            model.encode_semantic(Tensor(batch.unseen_attrs)))
+        terms["icoral"] = losses.icoral(zx, model.reparameterize(gu, rng))
+    return terms
 
-    terms = {}
-    l_rec_xx = losses.l1_reconstruction(x, model.decode_visual(zx))
-    l_rec_aa = losses.l1_reconstruction(a, model.decode_semantic(za))
-    kl_x = losses.kl_to_standard_normal(gx)
-    kl_a = losses.kl_to_standard_normal(ga)
-    vae_x = l_rec_xx + weights.gamma * kl_x
-    vae_a = l_rec_aa + weights.gamma * kl_a
-    terms["vae_x"] = _term("vae_x", vae_x)
-    terms["vae_a"] = _term("vae_a", vae_a)
 
-    rec = losses.l1_reconstruction(x, model.decode_visual(za)) + \
-        losses.l1_reconstruction(a, model.decode_semantic(zx))
-    terms["rec"] = _term("rec", rec)
-
-    cls = None
-    for s in (sx, sa):
-        for which in (1, 2):
-            term, _ = losses.softmax_cross_entropy(
-                model.classify(which, s), batch.y)
-            cls = term if cls is None else cls + term
-    terms["cls"] = _term("cls", cls)
-
-    da = losses.gaussian_w2(gx, ga)
-    terms["da"] = _term("da", da)
-
-    su = model.encode_semantic(Tensor(batch.unseen_attrs))
-    gu = model.encode_common(su)
-    zu = model.reparameterize(gu, rng).z
-    ic = losses.icoral(zx, zu)
-    terms["icoral"] = _term("icoral", ic)
-
-    total = vae_x + vae_a + weights.l1 * rec + cls + \
-        weights.l3 * (ic + da)
+def step_joint(model, batch, weights, opt, rng, with_icoral=True):
+    """One Adam step of the full objective over all parameter groups.
+    The adversarial discrepancy terms live in the two dedicated steps."""
+    t = joint_terms(model, batch, weights.gamma, rng, with_icoral)
+    rec = t["rec"] = t["rec_x"] + t["rec_a"]
+    terms = {name: _term(name, t[name]) if name in t else 0.0
+             for name in ("vae_x", "vae_a", "rec", "cls", "da", "icoral")}
+    aligned = t["icoral"] + t["da"] if with_icoral else t["da"]
+    total = t["vae_x"] + t["vae_a"] + weights.l1 * rec + t["cls"] + \
+        weights.l3 * aligned
     _term("total", total)
     total.backward()
     opt.step(JOINT_GROUPS)
     model.zero_grads()
     return StepReport(terms=terms, weights=weights)
-
-
-def _swd_pair(model, s, directions):
-    p1 = softmax(model.classify(1, s))
-    p2 = softmax(model.classify(2, s))
-    return losses.sliced_wasserstein_discrepancy(p1, p2, directions)
 
 
 def step_max_discrepancy(model, batch, weights, opt, rng, sched):
@@ -165,14 +179,9 @@ def step_max_discrepancy(model, batch, weights, opt, rng, sched):
     sx = model.encode_visual(Tensor(batch.x)).detach()
     sa = model.encode_semantic(Tensor(batch.a)).detach()
     dirs = rng.unit_directions(sched.swd_directions,
-                              model.arch.n_seen_classes)
-    cls = None
-    for s in (sx, sa):
-        for which in (1, 2):
-            term, _ = losses.softmax_cross_entropy(
-                model.classify(which, s), batch.y)
-            cls = term if cls is None else cls + term
-    dis1 = -_swd_pair(model, sx, dirs) - _swd_pair(model, sa, dirs)
+                               model.arch.n_seen_classes)
+    cls = classification_loss(model, sx, sa, batch.y)
+    dis1 = -swd(model, sx, dirs) - swd(model, sa, dirs)
     terms = {"cls": _term("cls", cls), "dis1": _term("dis1", dis1)}
     total = cls + weights.l2 * dis1
     _term("total", total)
@@ -187,12 +196,12 @@ def step_min_discrepancy(model, batch, weights, opt, rng, sched, repeats=None):
     discrepancy. Classifiers are frozen."""
     repeats = sched.inner_repeats if repeats is None else repeats
     terms = {}
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         sx = model.encode_visual(Tensor(batch.x))
         sa = model.encode_semantic(Tensor(batch.a))
         dirs = rng.unit_directions(sched.swd_directions,
                                    model.arch.n_seen_classes)
-        dis2 = _swd_pair(model, sx, dirs) + _swd_pair(model, sa, dirs)
+        dis2 = swd(model, sx, dirs) + swd(model, sa, dirs)
         terms["dis2"] = _term("dis2", dis2)
         total = weights.l2 * dis2
         _term("total", total)
@@ -229,14 +238,8 @@ def train_epoch(model, ds, sched, epoch, rng, opt, flags=None):
     r_shuffle, r_step = rng.spawn(2)
     for bi, batch in enumerate(batch_iter(ds, sched.batch_size, r_shuffle)):
         try:
-            jw = weights
-            if flags.disable_icoral:
-                # drop only the inverse-coral term: reuse the joint step with
-                # a zero-covariance stand-in is messier than just gating here
-                rep = _step_joint_gated(model, batch, jw, opt, r_step,
-                                        with_icoral=False)
-            else:
-                rep = step_joint(model, batch, jw, opt, r_step)
+            rep = step_joint(model, batch, weights, opt, r_step,
+                             with_icoral=not flags.disable_icoral)
             for k, v in rep.terms.items():
                 sums[k] = sums.get(k, 0.0) + v
             if not flags.disable_sa:
@@ -254,46 +257,6 @@ def train_epoch(model, ds, sched, epoch, rng, opt, flags=None):
     return {t: sums[t] / n_batches for t in LOSS_TERMS}
 
 
-def _step_joint_gated(model, batch, weights, opt, rng, with_icoral=True):
-    if with_icoral:
-        return step_joint(model, batch, weights, opt, rng)
-    # identical to step_joint but without the inverse-coral term
-    x = Tensor(batch.x)
-    a = Tensor(batch.a)
-    sx = model.encode_visual(x)
-    sa = model.encode_semantic(a)
-    gx = model.encode_common(sx)
-    ga = model.encode_common(sa)
-    zx = model.reparameterize(gx, rng).z
-    za = model.reparameterize(ga, rng).z
-    terms = {}
-    vae_x = losses.l1_reconstruction(x, model.decode_visual(zx)) + \
-        weights.gamma * losses.kl_to_standard_normal(gx)
-    vae_a = losses.l1_reconstruction(a, model.decode_semantic(za)) + \
-        weights.gamma * losses.kl_to_standard_normal(ga)
-    rec = losses.l1_reconstruction(x, model.decode_visual(za)) + \
-        losses.l1_reconstruction(a, model.decode_semantic(zx))
-    cls = None
-    for s in (sx, sa):
-        for which in (1, 2):
-            term, _ = losses.softmax_cross_entropy(
-                model.classify(which, s), batch.y)
-            cls = term if cls is None else cls + term
-    da = losses.gaussian_w2(gx, ga)
-    terms["vae_x"] = _term("vae_x", vae_x)
-    terms["vae_a"] = _term("vae_a", vae_a)
-    terms["rec"] = _term("rec", rec)
-    terms["cls"] = _term("cls", cls)
-    terms["da"] = _term("da", da)
-    terms["icoral"] = 0.0
-    total = vae_x + vae_a + weights.l1 * rec + cls + weights.l3 * da
-    _term("total", total)
-    total.backward()
-    opt.step(JOINT_GROUPS)
-    model.zero_grads()
-    return StepReport(terms=terms, weights=weights)
-
-
 def fit(model, ds, sched, rng, flags=None, progress=None):
     """Run the full schedule; returns one row of mean loss terms plus the
     weights per epoch."""
@@ -303,6 +266,11 @@ def fit(model, ds, sched, rng, flags=None, progress=None):
     if model.arch.attr_dim != ds.attr_dim:
         raise ValueError(f"model attr_dim {model.arch.attr_dim} != "
                          f"dataset attr_dim {ds.attr_dim}")
+    if sched.epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {sched.epochs}")
+    if sched.inner_repeats < 1:
+        raise ValueError(
+            f"inner_repeats must be >= 1, got {sched.inner_repeats}")
     flags = flags or AblationFlags()
     opt = ModelOptimizer(model, sched)
     curves = []

@@ -135,6 +135,15 @@ def test_exit_code_2_on_runtime_error(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_train_rejects_invalid_schedule(tmp_path, capsys):
+    for schedule in ({"epochs": -3}, {"inner_repeats": 0}):
+        cfg = write_cfg(tmp_path, schedule=schedule)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "checkpoint.bin").exists()
+        assert next(iter(schedule)) in capsys.readouterr().err
+
+
 def test_gradcheck_command(capsys):
     start = time.time()
     assert main(["gradcheck", "--seed", "0"]) == 0

@@ -24,9 +24,9 @@ def test_forward_shapes():
     g = m.encode_common(sx)
     assert g.mu.shape == (6, 4) and g.logvar.shape == (6, 4)
     zs = m.reparameterize(g, rng)
-    assert zs.z.shape == (6, 4)
-    assert m.decode_visual(zs.z).shape == (6, 7)
-    assert m.decode_semantic(zs.z).shape == (6, 5)
+    assert zs.shape == (6, 4)
+    assert m.decode_visual(zs).shape == (6, 7)
+    assert m.decode_semantic(zs).shape == (6, 5)
     assert m.classify(1, sx).shape == (6, 3)
     assert m.classify(2, sa).shape == (6, 3)
 
@@ -59,7 +59,7 @@ def test_reparameterize_sample_moments():
     from zsalign.losses import GaussianParams
     from zsalign.tensor import Tensor
     g = GaussianParams(Tensor(mu), Tensor(logvar))
-    z = m.reparameterize(g, Rng(3)).z.data
+    z = m.reparameterize(g, Rng(3)).data
     assert abs(z.mean() - 2.0) < 0.05
     assert abs(z.var() - 4.0) < 0.1
 
@@ -71,7 +71,7 @@ def test_reparameterize_collapses_at_tiny_variance():
     mu = Rng(0).standard_normal(10, 4)
     g = GaussianParams(Tensor(mu), Tensor(np.full((10, 4), -40.0,
                                                   dtype=np.float32)))
-    z = m.reparameterize(g, Rng(1)).z.data
+    z = m.reparameterize(g, Rng(1)).data
     assert np.max(np.abs(z - mu)) < 1e-8
 
 

@@ -5,8 +5,9 @@ from zsalign import (AblationFlags, Architecture, Model, Rng, SynthConfig,
                      TrainSchedule, batch_iter, fit, schedule_weights,
                      step_joint, step_max_discrepancy, step_min_discrepancy,
                      synth_generate, write_curves)
+from zsalign import training
 from zsalign.training import (CLS_GROUPS, CURVES_HEADER, ENC_GROUPS,
-                              ModelOptimizer, train_epoch)
+                              ModelOptimizer, joint_terms, train_epoch)
 from zsalign.model import GROUPS
 
 SMALL_ARCH = dict(structure_dim=12, latent_dim=4, common_hidden=8,
@@ -195,6 +196,20 @@ def test_fit_zero_epochs_leaves_model_untouched():
     assert model.param_bytes() == before
 
 
+@pytest.mark.parametrize("field,value", [("inner_repeats", 0),
+                                         ("inner_repeats", -1),
+                                         ("epochs", -3)])
+def test_fit_rejects_invalid_schedule(field, value):
+    # no silent rewrite: 0 inner repeats must not run one encoder step, and
+    # negative epochs must not train nothing and report success
+    ds, model, sched = small_setup()
+    setattr(sched, field, value)
+    before = model.param_bytes()
+    with pytest.raises(ValueError, match=field):
+        fit(model, ds, sched, Rng(0))
+    assert model.param_bytes() == before
+
+
 def test_fit_validates_dimensions():
     ds, _, sched = small_setup()
     arch = Architecture(visual_dim=9, attr_dim=8, n_seen_classes=4,
@@ -255,6 +270,60 @@ def test_ablations_change_trajectory():
     assert run(AblationFlags(disable_sa=True)) != full
     assert run(AblationFlags(disable_da_icoral=True)) != full
     assert run(AblationFlags(disable_icoral=True)) != full
+
+
+VARIANTS = {"full": AblationFlags(),
+            "no_sa": AblationFlags(disable_sa=True),
+            "no_da_icoral": AblationFlags(disable_da_icoral=True),
+            "no_icoral": AblationFlags(disable_icoral=True)}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_variant_runs_one_joint_step_per_batch(monkeypatch, variant):
+    # every ablation goes through the module-level step_joint, the name
+    # that profiling wrappers patch
+    ds, model, sched = small_setup()
+    real, calls = training.step_joint, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("with_icoral", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "step_joint", counting)
+    train_epoch(model, ds, sched, 30, Rng(0), ModelOptimizer(model, sched),
+                VARIANTS[variant])
+    n_batches = -(-len(ds.train_idx) // sched.batch_size)
+    assert len(calls) == n_batches
+    assert set(calls) == {variant != "no_icoral"}
+
+
+@pytest.mark.parametrize("with_icoral", (True, False))
+def test_step_joint_reports_builder_terms(with_icoral):
+    ds, model, sched = small_setup()
+    weights = schedule_weights(sched, 30)
+    batch = next(batch_iter(ds, sched.batch_size, Rng(0)))
+    t = joint_terms(model, batch, weights.gamma, Rng(5), with_icoral)
+    want = {name: float(t[name].data)
+            for name in ("vae_x", "vae_a", "cls", "da")}
+    want["rec"] = float((t["rec_x"] + t["rec_a"]).data)
+    want["icoral"] = float(t["icoral"].data) if with_icoral else 0.0
+    assert set(t) == {"vae_x", "vae_a", "rec_x", "rec_a", "cls", "da"} | \
+        ({"icoral"} if with_icoral else set())
+
+    rng = Rng(5)
+    rep = step_joint(model, batch, weights, ModelOptimizer(model, sched), rng,
+                     with_icoral=with_icoral)
+    assert rep.terms == want
+
+    # the step draws the visual and semantic noise blocks, and the unseen
+    # block only when the inverse-coral term is on
+    ref = Rng(5)
+    n, k = batch.x.shape[0], model.arch.latent_dim
+    ref.standard_normal(n, k)
+    ref.standard_normal(n, k)
+    if with_icoral:
+        ref.standard_normal(batch.unseen_attrs.shape[0], k)
+    assert rng._gen.bit_generator.state == ref._gen.bit_generator.state
 
 
 # ---- curves file ----------------------------------------------------------
