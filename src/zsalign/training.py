@@ -227,10 +227,19 @@ def effective_weights(weights, flags):
     return w
 
 
+def _check_schedule(sched):
+    if sched.epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {sched.epochs}")
+    if sched.inner_repeats < 1:
+        raise ValueError(
+            f"inner_repeats must be >= 1, got {sched.inner_repeats}")
+
+
 def train_epoch(model, ds, sched, epoch, rng, opt, flags=None):
     """One pass of shuffled mini-batches; per batch: joint step, classifier
     discrepancy maximization, encoder discrepancy minimization."""
     from .data import batch_iter
+    _check_schedule(sched)
     flags = flags or AblationFlags()
     weights = effective_weights(schedule_weights(sched, epoch), flags)
     sums = {t: 0.0 for t in LOSS_TERMS}
@@ -266,11 +275,7 @@ def fit(model, ds, sched, rng, flags=None, progress=None):
     if model.arch.attr_dim != ds.attr_dim:
         raise ValueError(f"model attr_dim {model.arch.attr_dim} != "
                          f"dataset attr_dim {ds.attr_dim}")
-    if sched.epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {sched.epochs}")
-    if sched.inner_repeats < 1:
-        raise ValueError(
-            f"inner_repeats must be >= 1, got {sched.inner_repeats}")
+    _check_schedule(sched)
     flags = flags or AblationFlags()
     opt = ModelOptimizer(model, sched)
     curves = []

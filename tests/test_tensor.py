@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from zsalign import Adam, Mlp, Rng, Tensor, finite_difference_check, mlp_forward
+from zsalign.optim import _CHUNK
 from zsalign.tensor import softmax, sort_ascending_columns
 
 
@@ -147,6 +150,118 @@ def test_adam_two_steps_match_hand_recurrence():
         p.grad = np.array([[g]])
         opt.step()
     assert abs(p.data.item() - theta) < 1e-12
+
+
+class WholeArrayAdam:
+    """Reference: the plain whole-array Adam update, one temporary per
+    operation. The chunked in-place `Adam` must match it bit for bit."""
+
+    def __init__(self, params, lr, beta1, beta2, eps=1e-8):
+        self.params, self.lr, self.eps = params, lr, eps
+        self.beta1, self.beta2, self.t = beta1, beta2, 0
+        self.m = [np.zeros(p.data.shape, dtype=np.float64) for p in params]
+        self.v = [np.zeros(p.data.shape, dtype=np.float64) for p in params]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for i, p in enumerate(self.params):
+            g = p.grad.astype(np.float64, copy=False)
+            self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
+            m_hat = self.m[i] / (1 - b1 ** self.t)
+            v_hat = self.v[i] / (1 - b2 ** self.t)
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                       ).astype(p.dtype)
+        for p in self.params:
+            p.grad = None
+
+
+ORACLE_CASES = {
+    # one weight spanning three full chunks and a 5-element tail
+    "one_large": ([(3 * _CHUNK + 5, 1)], np.float32),
+    # 34 (w, b) pairs of 500 elements: many tensors per chunk, and pair 32's
+    # weight straddles the first chunk boundary
+    "many_small": ([(9, 50), (1, 50)] * 34, np.float32),
+    "float64": ([(_CHUNK + 3, 1), (5, 5), (1, 5)], np.float64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_adam_chunked_update_bitwise_matches_whole_array(case):
+    shapes, dtype = ORACLE_CASES[case]
+    gen = np.random.default_rng(7)
+    init = [gen.standard_normal(s).astype(dtype) for s in shapes]
+    ours = [Tensor(a.copy(), requires_grad=True) for a in init]
+    ref = [Tensor(a.copy(), requires_grad=True) for a in init]
+    hyper = dict(lr=1.5e-4, beta1=0.5, beta2=0.999)
+    opt, oracle = Adam(ours, **hyper), WholeArrayAdam(ref, **hyper)
+    for step in range(7):
+        for p, q in zip(ours, ref):
+            # magnitudes over 12 decades, with exact zeros, so rounding in
+            # every operation is exercised
+            g = gen.standard_normal(p.data.shape) * \
+                10.0 ** gen.uniform(-8, 4, p.data.shape)
+            g[gen.random(p.data.shape) < 0.05] = 0.0
+            p.grad, q.grad = g.astype(dtype), g.astype(dtype)
+        opt.step()
+        oracle.step()
+        for p, q in zip(ours, ref):
+            assert p.data.dtype == q.data.dtype
+            assert p.data.tobytes() == q.data.tobytes(), f"step {step}"
+
+
+def test_adam_step_allocates_no_whole_array_temporaries():
+    p = Tensor(np.ones((1024, 1024), dtype=np.float32), requires_grad=True)
+    opt = Adam([p])
+    p.grad = np.full((1024, 1024), 0.5, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak           # one whole-array temporary: 4 MB
+
+
+def test_adam_rejects_mixed_dtypes():
+    a = Tensor(np.zeros((2, 2), dtype=np.float32), requires_grad=True)
+    b = Tensor(np.zeros((1, 2), dtype=np.float64), requires_grad=True)
+    with pytest.raises(ValueError, match="dtype"):
+        Adam([a, b])
+
+
+def _adam_state(opt, params):
+    return (opt.t, opt.m.tobytes(), opt.v.tobytes(),
+            [p.data.tobytes() for p in params])
+
+
+def test_adam_rejects_non_contiguous_data_untouched():
+    a = Tensor(np.ones((3, 4), dtype=np.float32), requires_grad=True)
+    b = Tensor(np.ones((1, 4), dtype=np.float32), requires_grad=True)
+    opt = Adam([a, b], lr=0.1)
+    a.grad, b.grad = np.ones((3, 4), np.float32), np.ones((1, 4), np.float32)
+    opt.step()
+    # a transposed copy would take the update into reshape(-1)'s copy
+    a.data = np.ascontiguousarray(a.data.T).T
+    before = _adam_state(opt, [a, b])
+    a.grad, b.grad = np.ones((3, 4), np.float32), np.ones((1, 4), np.float32)
+    with pytest.raises(ValueError, match="contiguous"):
+        opt.step()
+    assert _adam_state(opt, [a, b]) == before
+
+
+def test_adam_empty_gradient_leaves_state_untouched():
+    a = Tensor(np.ones((3, 4), dtype=np.float32), requires_grad=True)
+    b = Tensor(np.ones((1, 4), dtype=np.float32), requires_grad=True)
+    opt = Adam([a, b], lr=0.1)
+    a.grad, b.grad = np.ones((3, 4), np.float32), np.ones((1, 4), np.float32)
+    opt.step()
+    before = _adam_state(opt, [a, b])
+    a.grad = np.ones((3, 4), np.float32)    # b's slot left empty
+    with pytest.raises(ValueError, match="empty gradient"):
+        opt.step()
+    assert _adam_state(opt, [a, b]) == before
 
 
 def test_standard_normal_deterministic_and_seed_sensitive():

@@ -210,6 +210,17 @@ def test_fit_rejects_invalid_schedule(field, value):
     assert model.param_bytes() == before
 
 
+def test_train_epoch_rejects_invalid_inner_repeats():
+    # train_epoch is public: called directly it must reject the schedule
+    # itself rather than run no encoder step and fail on a missing term
+    ds, model, sched = small_setup()
+    sched.inner_repeats = 0
+    before = model.param_bytes()
+    with pytest.raises(ValueError, match="inner_repeats"):
+        train_epoch(model, ds, sched, 0, Rng(0), ModelOptimizer(model, sched))
+    assert model.param_bytes() == before
+
+
 def test_fit_validates_dimensions():
     ds, _, sched = small_setup()
     arch = Architecture(visual_dim=9, attr_dim=8, n_seen_classes=4,
