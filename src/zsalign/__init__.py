@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .tensor import Tensor, check_finite, finite_difference_check, softmax
 from .rng import Rng
-from .nn import Linear, Mlp, mlp_forward
+from .nn import Linear, Mlp
 from .optim import Adam
 from .losses import (GaussianParams, coral, gaussian_w2, icoral,
                      kl_to_standard_normal, l1_reconstruction,

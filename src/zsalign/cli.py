@@ -45,15 +45,26 @@ def load_config(path):
     return cfg
 
 
-def _take(cfg, key, cls):
+def _section(cfg, key, valid):
     sub = cfg.get(key, {})
     if not isinstance(sub, dict):
         raise ConfigError(f"config field '{key}' must be an object")
-    valid = set(cls.__dataclass_fields__)
-    unknown = set(sub) - valid
+    unknown = set(sub) - set(valid)
     if unknown:
         raise ConfigError(f"unknown field '{sorted(unknown)[0]}' in '{key}'")
-    return cls(**sub)
+    return sub
+
+
+def _take(cfg, key, cls, **fixed):
+    """The dataclass `cls` built from config section `key`, with the
+    `fixed` fields overriding the file, and validated."""
+    obj = cls(**{**_section(cfg, key, cls.__dataclass_fields__), **fixed})
+    if hasattr(obj, "validate"):
+        try:
+            obj.validate()
+        except (ValueError, TypeError) as e:
+            raise ConfigError(f"invalid '{key}': {e}") from e
+    return obj
 
 
 def resolve_dataset(cfg, seed):
@@ -92,21 +103,14 @@ def write_manifest(out, cfg, seed):
 
 
 def build_model(cfg, ds, seed):
-    overrides = cfg.get("model", {})
-    valid = set(Architecture.__dataclass_fields__)
-    unknown = set(overrides) - valid
-    if unknown:
-        raise ConfigError(f"unknown field '{sorted(unknown)[0]}' in 'model'")
-    arch = Architecture(visual_dim=ds.visual_dim, attr_dim=ds.attr_dim,
-                        n_seen_classes=len(ds.seen_classes), **{
-                            k: v for k, v in overrides.items()
-                            if k not in ("visual_dim", "attr_dim",
-                                         "n_seen_classes")})
+    arch = _take(cfg, "model", Architecture, visual_dim=ds.visual_dim,
+                 attr_dim=ds.attr_dim, n_seen_classes=len(ds.seen_classes))
     return Model(arch, Rng(seed).spawn(1)[0])
 
 
 def _eval_counts(cfg):
-    ev = cfg.get("eval", {})
+    ev = _section(cfg, "eval",
+                  ("czsl_unseen", "gzsl_unseen", "gzsl_seen", "use_mean"))
     czsl = EvalCounts(unseen=int(ev.get("czsl_unseen", 200)), seen=0)
     gzsl = EvalCounts(unseen=int(ev.get("gzsl_unseen", 400)),
                       seen=int(ev.get("gzsl_seen", 200)))

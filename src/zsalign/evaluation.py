@@ -96,8 +96,7 @@ def train_softmax_classifier(latents, labels, rng, epochs=30, lr=1e-3,
         order = r_shuffle.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            loss, _ = softmax_cross_entropy(layer(Tensor(latents[idx])),
-                                            y[idx])
+            loss = softmax_cross_entropy(layer(Tensor(latents[idx])), y[idx])
             loss.backward()
             opt.step()
     return LatentClassifier(w=layer.w.data.copy(), b=layer.b.data.copy(),

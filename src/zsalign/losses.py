@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, softmax, sort_ascending_columns
+from .tensor import Tensor, as_tensor, sort_ascending_columns
 
 
 @dataclass
@@ -57,11 +57,7 @@ def l1_reconstruction(target, reconstruction):
 
 
 def softmax_cross_entropy(logits, labels):
-    """Mean NLL under a max-shifted softmax.
-
-    Returns (loss, probs) where probs is the differentiable prediction
-    (rows on the simplex).
-    """
+    """Mean NLL under a max-shifted softmax."""
     logits = as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
     n, k = logits.shape
@@ -70,20 +66,20 @@ def softmax_cross_entropy(logits, labels):
     if labels.min() < 0 or labels.max() >= k:
         bad = labels[(labels < 0) | (labels >= k)][0]
         raise ValueError(f"label {bad} out of range [0, {k})")
-    probs = softmax(logits)
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    logz = np.log(np.sum(np.exp(shifted), axis=1, dtype=np.float64))
+    e = np.exp(shifted)
+    logz = np.log(np.sum(e, axis=1, dtype=np.float64))
     nll_data = logz - shifted[np.arange(n), labels].astype(np.float64)
     loss_data = np.asarray(nll_data.mean(), dtype=logits.dtype)
 
     def backward(g):
-        onehot = np.zeros_like(probs.data)
-        onehot[np.arange(n), labels] = 1.0
-        logits._accumulate((probs.data - onehot) * (g / n))
+        # the probabilities as tensor.softmax computes them
+        probs = e / e.sum(axis=1, keepdims=True)
+        probs[np.arange(n), labels] -= 1.0
+        logits._accumulate(probs * (g / n))
 
-    loss = Tensor(loss_data, logits.requires_grad, (logits,),
+    return Tensor(loss_data, logits.requires_grad, (logits,),
                   backward if logits.requires_grad else None)
-    return loss, probs
 
 
 def sliced_wasserstein_discrepancy(p1, p2, directions):

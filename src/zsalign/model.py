@@ -27,8 +27,9 @@ class Architecture:
 
     def validate(self):
         for name, value in asdict(self).items():
-            if int(value) < 1:
-                raise ValueError(f"architecture field '{name}' must be >= 1")
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"architecture field '{name}' must be an "
+                                 f"integer >= 1, got {value!r}")
 
 
 # group names, fixed order (also the checkpoint manifest order)
@@ -114,18 +115,6 @@ class Model:
         if which not in (1, 2):
             raise ValueError("classifier selector must be 1 or 2")
         return (self.cls1 if which == 1 else self.cls2)(s)
-
-    def latent_from_visual(self, x, rng, use_mean=False):
-        g = self.encode_common(self.encode_visual(x))
-        if use_mean:
-            return g.mu
-        return self.reparameterize(g, rng)
-
-    def latent_from_semantic(self, a, rng, use_mean=False):
-        g = self.encode_common(self.encode_semantic(a))
-        if use_mean:
-            return g.mu
-        return self.reparameterize(g, rng)
 
 
 # ---- checkpoint container -----------------------------------------------

@@ -69,14 +69,3 @@ class Mlp:
 
     def params(self):
         return [p for layer in self.layers for p in layer.params()]
-
-    def zero_grad(self):
-        for p in self.params():
-            p.grad = None
-
-
-def mlp_forward(net, x):
-    """Batched forward pass through `net` (validates dims and finiteness)."""
-    x = as_tensor(x)
-    check_finite(x.data, "mlp input")
-    return net(x)

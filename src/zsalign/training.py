@@ -15,19 +15,20 @@ finite-difference suite in `gradcheck.py`, which therefore checks the
 gradients of the graph that trains.
 """
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import losses
+from .model import GROUPS
 from .optim import Adam
 from .tensor import Tensor, softmax
 
-JOINT_GROUPS = ("enc_visual", "enc_semantic", "enc_common_trunk",
-                "enc_common_mu", "enc_common_logvar", "dec_visual",
-                "dec_semantic", "cls1", "cls2")
 CLS_GROUPS = ("cls1", "cls2")
 ENC_GROUPS = ("enc_visual", "enc_semantic")
+# the ModelOptimizer partitions each training phase updates
+PHASE_PARTITIONS = {"joint": ("enc", "cls", "rest"), "max": ("cls",),
+                    "min": ("enc",)}
 
 # annealing rates and end epochs; the weights stay constant afterwards
 GAMMA_RATE, GAMMA_END = 0.0026, 90
@@ -54,6 +55,19 @@ class TrainSchedule:
     adam_beta1: float = 0.5
     adam_beta2: float = 0.999
 
+    def validate(self):
+        for name in ("epochs", "inner_repeats"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise TypeError(
+                    f"schedule field '{name}' must be an integer, "
+                    f"got {value!r}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.inner_repeats < 1:
+            raise ValueError(
+                f"inner_repeats must be >= 1, got {self.inner_repeats}")
+
 
 @dataclass
 class Weights:
@@ -74,29 +88,28 @@ def schedule_weights(sched, epoch):
     return Weights(gamma=gamma, l1=l1, l2=l23, l3=l23)
 
 
-@dataclass
-class StepReport:
-    epoch: int = 0
-    batch: int = 0
-    terms: dict = field(default_factory=dict)
-    weights: Weights = None
-
-
 class ModelOptimizer:
-    """One Adam state per parameter group so each phase can update its own
-    subset while the rest stays bitwise untouched."""
+    """One Adam per freezing partition: the task encoders (`enc`), the
+    classifiers (`cls`) and every other group (`rest`). `step(phase)`
+    updates the partitions that phase trains and then clears every model
+    gradient, so the frozen partitions stay bitwise untouched. The groups
+    of a partition are always stepped together, so they share one Adam
+    step count."""
 
     def __init__(self, model, sched):
         self.model = model
+        rest = tuple(g for g in GROUPS if g not in ENC_GROUPS + CLS_GROUPS)
         self.adams = {
-            name: Adam(getattr(model, name).params(), lr=sched.learning_rate,
+            name: Adam(model.group_params(groups), lr=sched.learning_rate,
                        beta1=sched.adam_beta1, beta2=sched.adam_beta2)
-            for name in JOINT_GROUPS
+            for name, groups in (("enc", ENC_GROUPS), ("cls", CLS_GROUPS),
+                                 ("rest", rest))
         }
 
-    def step(self, group_names):
-        for name in group_names:
+    def step(self, phase):
+        for name in PHASE_PARTITIONS[phase]:
             self.adams[name].step()
+        self.model.zero_grads()
 
 
 def _term(name, t):
@@ -114,7 +127,7 @@ def classification_loss(model, sx, sa, y):
     cls = None
     for s in (sx, sa):
         for which in (1, 2):
-            term, _ = losses.softmax_cross_entropy(model.classify(which, s), y)
+            term = losses.softmax_cross_entropy(model.classify(which, s), y)
             cls = term if cls is None else cls + term
     return cls
 
@@ -157,8 +170,9 @@ def joint_terms(model, batch, gamma, rng, with_icoral=True):
 
 
 def step_joint(model, batch, weights, opt, rng, with_icoral=True):
-    """One Adam step of the full objective over all parameter groups.
-    The adversarial discrepancy terms live in the two dedicated steps."""
+    """One Adam step of the full objective over all parameter groups;
+    returns the loss terms. The adversarial discrepancy terms live in the
+    two dedicated steps."""
     t = joint_terms(model, batch, weights.gamma, rng, with_icoral)
     rec = t["rec"] = t["rec_x"] + t["rec_a"]
     terms = {name: _term(name, t[name]) if name in t else 0.0
@@ -168,9 +182,8 @@ def step_joint(model, batch, weights, opt, rng, with_icoral=True):
         weights.l3 * aligned
     _term("total", total)
     total.backward()
-    opt.step(JOINT_GROUPS)
-    model.zero_grads()
-    return StepReport(terms=terms, weights=weights)
+    opt.step("joint")
+    return terms
 
 
 def step_max_discrepancy(model, batch, weights, opt, rng, sched):
@@ -186,17 +199,15 @@ def step_max_discrepancy(model, batch, weights, opt, rng, sched):
     total = cls + weights.l2 * dis1
     _term("total", total)
     total.backward()
-    opt.step(CLS_GROUPS)
-    model.zero_grads()
-    return StepReport(terms=terms, weights=weights)
+    opt.step("max")
+    return terms
 
 
-def step_min_discrepancy(model, batch, weights, opt, rng, sched, repeats=None):
-    """Update only the two task-specific encoders to shrink the classifier
-    discrepancy. Classifiers are frozen."""
-    repeats = sched.inner_repeats if repeats is None else repeats
+def step_min_discrepancy(model, batch, weights, opt, rng, sched):
+    """`sched.inner_repeats` updates of only the two task-specific encoders
+    to shrink the classifier discrepancy. Classifiers are frozen."""
     terms = {}
-    for _ in range(repeats):
+    for _ in range(sched.inner_repeats):
         sx = model.encode_visual(Tensor(batch.x))
         sa = model.encode_semantic(Tensor(batch.a))
         dirs = rng.unit_directions(sched.swd_directions,
@@ -206,9 +217,8 @@ def step_min_discrepancy(model, batch, weights, opt, rng, sched, repeats=None):
         total = weights.l2 * dis2
         _term("total", total)
         total.backward()
-        opt.step(ENC_GROUPS)
-        model.zero_grads()
-    return StepReport(terms=terms, weights=weights)
+        opt.step("min")
+    return terms
 
 
 @dataclass
@@ -227,19 +237,11 @@ def effective_weights(weights, flags):
     return w
 
 
-def _check_schedule(sched):
-    if sched.epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {sched.epochs}")
-    if sched.inner_repeats < 1:
-        raise ValueError(
-            f"inner_repeats must be >= 1, got {sched.inner_repeats}")
-
-
 def train_epoch(model, ds, sched, epoch, rng, opt, flags=None):
     """One pass of shuffled mini-batches; per batch: joint step, classifier
     discrepancy maximization, encoder discrepancy minimization."""
     from .data import batch_iter
-    _check_schedule(sched)
+    sched.validate()
     flags = flags or AblationFlags()
     weights = effective_weights(schedule_weights(sched, epoch), flags)
     sums = {t: 0.0 for t in LOSS_TERMS}
@@ -247,17 +249,17 @@ def train_epoch(model, ds, sched, epoch, rng, opt, flags=None):
     r_shuffle, r_step = rng.spawn(2)
     for bi, batch in enumerate(batch_iter(ds, sched.batch_size, r_shuffle)):
         try:
-            rep = step_joint(model, batch, weights, opt, r_step,
-                             with_icoral=not flags.disable_icoral)
-            for k, v in rep.terms.items():
+            terms = step_joint(model, batch, weights, opt, r_step,
+                               with_icoral=not flags.disable_icoral)
+            for k, v in terms.items():
                 sums[k] = sums.get(k, 0.0) + v
             if not flags.disable_sa:
-                rep = step_max_discrepancy(model, batch, weights, opt,
-                                           r_step, sched)
-                sums["dis1"] += rep.terms["dis1"]
-                rep = step_min_discrepancy(model, batch, weights, opt,
-                                           r_step, sched)
-                sums["dis2"] += rep.terms["dis2"]
+                terms = step_max_discrepancy(model, batch, weights, opt,
+                                             r_step, sched)
+                sums["dis1"] += terms["dis1"]
+                terms = step_min_discrepancy(model, batch, weights, opt,
+                                             r_step, sched)
+                sums["dis2"] += terms["dis2"]
             n_batches += 1
         except TrainingDivergence as e:
             raise TrainingDivergence(e.term, epoch, bi) from None
@@ -275,7 +277,7 @@ def fit(model, ds, sched, rng, flags=None, progress=None):
     if model.arch.attr_dim != ds.attr_dim:
         raise ValueError(f"model attr_dim {model.arch.attr_dim} != "
                          f"dataset attr_dim {ds.attr_dim}")
-    _check_schedule(sched)
+    sched.validate()
     flags = flags or AblationFlags()
     opt = ModelOptimizer(model, sched)
     curves = []

@@ -128,20 +128,36 @@ def test_exit_code_2_on_runtime_error(tmp_path, capsys):
     assert code == 1  # dimension mismatch is a config error
     assert "visual_dim" in capsys.readouterr().err
 
-    # invalid synth geometry passes JSON parsing but fails generation
-    cfg_c = write_cfg(tmp_path, "c.json",
-                      synth={"n_classes": 4, "n_seen": 4})
-    assert main(["synth", "--config", cfg_c,
-                 "--out", str(tmp_path / "o")]) == 2
+    # a checkpoint cut short is a runtime error, not a config error
+    stub = tmp_path / "stub.bin"
+    stub.write_bytes((out / "checkpoint.bin").read_bytes()[:100])
+    assert main(["eval", "--config", cfg_a, "--out", str(tmp_path / "ev2"),
+                 "--checkpoint", str(stub)]) == 2
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_train_rejects_invalid_schedule(tmp_path, capsys):
-    for schedule in ({"epochs": -3}, {"inner_repeats": 0}):
+    for schedule in ({"epochs": -3}, {"inner_repeats": 0}, {"epochs": "3"}):
         cfg = write_cfg(tmp_path, schedule=schedule)
         out = tmp_path / "run"
-        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
         assert not (out / "checkpoint.bin").exists()
         assert next(iter(schedule)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb,section,values", [
+    ("synth", "synth", {"n_classes": 4, "n_seen": 4}),
+    ("train", "synth", {"n_classes": 4, "n_seen": 4}),
+    ("train", "model", {"latent_dim": 0}),
+    ("train", "model", {"latent_dim": "4"}),
+    ("ablate", "eval", {"bogus_count": 5}),
+])
+def test_invalid_config_section_exits_1(tmp_path, capsys, verb, section,
+                                        values):
+    cfg = write_cfg(tmp_path, **{section: values})
+    out = tmp_path / "run"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == 1
+    assert f"'{section}'" in capsys.readouterr().err
 
 
 def test_gradcheck_command(capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from zsalign import (Architecture, Model, Rng, load_checkpoint,
                      save_checkpoint)
+from zsalign.evaluation import encode_test_features
 
 SMALL = dict(structure_dim=8, latent_dim=4, common_hidden=6,
              dec_visual_hidden=6, dec_semantic_hidden=5)
@@ -125,9 +126,9 @@ def test_checkpoint_corruption_detected(tmp_path):
 def test_latent_helpers_mean_vs_sample():
     m = small_model()
     x = Rng(0).standard_normal(4, 7)
-    mean1 = m.latent_from_visual(x, Rng(1), use_mean=True).data
-    mean2 = m.latent_from_visual(x, Rng(2), use_mean=True).data
+    mean1 = encode_test_features(m, x, Rng(1), use_mean=True)
+    mean2 = encode_test_features(m, x, Rng(2), use_mean=True)
     assert np.array_equal(mean1, mean2)
-    s1 = m.latent_from_visual(x, Rng(1)).data
-    s2 = m.latent_from_visual(x, Rng(2)).data
+    s1 = encode_test_features(m, x, Rng(1))
+    s2 = encode_test_features(m, x, Rng(2))
     assert not np.array_equal(s1, s2)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zsalign import Adam, Mlp, Rng, Tensor, finite_difference_check, mlp_forward
+from zsalign import Adam, Mlp, Rng, Tensor, finite_difference_check
 from zsalign.optim import _CHUNK
 from zsalign.tensor import softmax, sort_ascending_columns
 
@@ -12,7 +12,7 @@ def test_mlp_identity_relu_clamps():
     net = Mlp([2, 2], ["relu"], Rng(0))
     net.layers[0].w.data = np.eye(2, dtype=np.float32)
     net.layers[0].b.data = np.zeros((1, 2), dtype=np.float32)
-    out = mlp_forward(net, np.array([[-1.0, 2.0]], dtype=np.float32))
+    out = net(np.array([[-1.0, 2.0]], dtype=np.float32))
     assert np.allclose(out.data, [[0.0, 2.0]])
 
 
@@ -21,7 +21,7 @@ def test_mlp_zero_weights_gives_bias():
     net.layers[0].w.data[:] = 0.0
     net.layers[0].b.data[:] = np.arange(4, dtype=np.float32)
     x = Rng(1).standard_normal(5, 3)
-    out = mlp_forward(net, x)
+    out = net(x)
     assert np.allclose(out.data, np.tile(np.arange(4), (5, 1)))
 
 
@@ -31,7 +31,7 @@ def test_mlp_matches_straight_line_oracle():
     net = Mlp([4, 6, 5, 3], ["relu", "relu", "identity"], rng,
               dtype=np.float64)
     x = rng.standard_normal(7, 4, dtype=np.float64)
-    out = mlp_forward(net, x).data
+    out = net(x).data
     h = x
     for i, layer in enumerate(net.layers):
         h = h @ layer.w.data + layer.b.data
@@ -43,16 +43,16 @@ def test_mlp_matches_straight_line_oracle():
 def test_mlp_rejects_bad_input():
     net = Mlp([3, 2], ["relu"], Rng(0))
     with pytest.raises(ValueError):
-        mlp_forward(net, np.zeros((2, 4), dtype=np.float32))
+        net(np.zeros((2, 4), dtype=np.float32))
     with pytest.raises(ValueError):
-        mlp_forward(net, np.array([[np.nan, 0.0, 0.0]], dtype=np.float32))
+        net(np.array([[np.nan, 0.0, 0.0]], dtype=np.float32))
 
 
 def test_mlp_deterministic():
     net = Mlp([3, 5, 2], ["relu", "identity"], Rng(3))
     x = Rng(4).standard_normal(6, 3)
-    a = mlp_forward(net, x).data
-    b = mlp_forward(net, x).data
+    a = net(x).data
+    b = net(x).data
     assert np.array_equal(a, b)
 
 
@@ -82,7 +82,7 @@ def test_backward_finite_difference_small_net():
     x = rng.standard_normal(5, 3, dtype=np.float64)
 
     def loss():
-        return (mlp_forward(net, x).square()).sum()
+        return (net(x).square()).sum()
 
     assert finite_difference_check(loss, net.params()) <= 1e-4
 

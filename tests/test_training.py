@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from zsalign import (AblationFlags, Architecture, Model, Rng, SynthConfig,
-                     TrainSchedule, batch_iter, fit, schedule_weights,
-                     step_joint, step_max_discrepancy, step_min_discrepancy,
-                     synth_generate, write_curves)
+from zsalign import (AblationFlags, Adam, Architecture, Model, Rng,
+                     SynthConfig, TrainSchedule, batch_iter, fit,
+                     schedule_weights, step_joint, step_max_discrepancy,
+                     step_min_discrepancy, synth_generate, write_curves)
 from zsalign import training
 from zsalign.training import (CLS_GROUPS, CURVES_HEADER, ENC_GROUPS,
                               ModelOptimizer, joint_terms, train_epoch)
@@ -101,15 +101,75 @@ def test_phase_freezing_is_bitwise_over_random_batches():
 
 def test_step_accounting_per_epoch():
     # B batches produce B joint steps, B classifier steps, and B*n encoder
-    # steps, visible through each group's Adam step counter
+    # steps, visible through each partition's Adam step counter
     ds, model, sched = small_setup()
     sched.inner_repeats = 2
     opt = ModelOptimizer(model, sched)
     train_epoch(model, ds, sched, 5, Rng(0), opt)
     n_batches = -(-len(ds.train_idx) // sched.batch_size)
-    assert opt.adams["dec_visual"].t == n_batches
-    assert opt.adams["cls1"].t == 2 * n_batches          # joint + max
-    assert opt.adams["enc_visual"].t == 3 * n_batches    # joint + 2 min
+    assert opt.adams["rest"].t == n_batches
+    assert opt.adams["cls"].t == 2 * n_batches          # joint + max
+    assert opt.adams["enc"].t == 3 * n_batches          # joint + 2 min
+
+
+class PerGroupOptimizer:
+    """Reference for ModelOptimizer: one Adam per parameter group, each
+    phase stepping the groups it trains."""
+
+    PHASE_GROUPS = {"joint": GROUPS, "max": CLS_GROUPS, "min": ENC_GROUPS}
+
+    def __init__(self, model, sched):
+        self.model = model
+        self.adams = {
+            g: Adam(getattr(model, g).params(), lr=sched.learning_rate,
+                    beta1=sched.adam_beta1, beta2=sched.adam_beta2)
+            for g in GROUPS}
+
+    def step(self, phase):
+        for g in self.PHASE_GROUPS[phase]:
+            self.adams[g].step()
+        self.model.zero_grads()
+
+
+def test_partition_optimizer_bitwise_matches_per_group_oracle():
+    ds, model, sched = small_setup()
+    _, ref_model, _ = small_setup()
+    sched.inner_repeats = 2
+    weights = schedule_weights(sched, 30)
+    opt, ref_opt = ModelOptimizer(model, sched), PerGroupOptimizer(ref_model,
+                                                                   sched)
+    batches = [b for epoch in range(4)
+               for b in batch_iter(ds, sched.batch_size, Rng(epoch))][:24]
+    phases = Rng(7).integers(0, 3, size=len(batches))
+    start = model.param_bytes()
+    for i, (phase, batch) in enumerate(zip(phases, batches)):
+        for m, o in ((model, opt), (ref_model, ref_opt)):
+            if phase == 0:
+                step_joint(m, batch, weights, o, Rng(100 + i))
+            elif phase == 1:
+                step_max_discrepancy(m, batch, weights, o, Rng(100 + i), sched)
+            else:
+                step_min_discrepancy(m, batch, weights, o, Rng(100 + i), sched)
+        assert model.param_bytes() == ref_model.param_bytes(), f"step {i}"
+    assert len(batches) == 24 and set(phases) == {0, 1, 2}
+    assert model.param_bytes() != start
+
+
+@pytest.mark.parametrize("disable_sa,per_batch", [(False, 5), (True, 3)])
+def test_adam_steps_per_batch(monkeypatch, disable_sa, per_batch):
+    # joint: one step per partition; max: cls; min: enc
+    ds, model, sched = small_setup()
+    real, calls = Adam.step, []
+
+    def counting(self):
+        calls.append(self)
+        real(self)
+
+    monkeypatch.setattr(Adam, "step", counting)
+    train_epoch(model, ds, sched, 30, Rng(0), ModelOptimizer(model, sched),
+                AblationFlags(disable_sa=disable_sa))
+    n_batches = -(-len(ds.train_idx) // sched.batch_size)
+    assert len(calls) == per_batch * n_batches
 
 
 def test_inner_repeat_reduces_discrepancy():
@@ -135,9 +195,8 @@ def test_inner_repeat_reduces_discrepancy():
         o = ModelOptimizer(model, sched)
         last = None
         for _ in range(repeats):
-            rep = step_min_discrepancy(model, batch, weights, o, Rng(2),
-                                       sched, repeats=1)
-            last = rep.terms["dis2"]
+            last = step_min_discrepancy(model, batch, weights, o, Rng(2),
+                                        sched)["dis2"]
         return last
 
     one = run(1)
@@ -152,8 +211,8 @@ def test_max_step_pushes_classifiers_apart():
     opt = ModelOptimizer(model, sched)
     vals = []
     for _ in range(10):
-        rep = step_max_discrepancy(model, batch, weights, opt, Rng(1), sched)
-        vals.append(-rep.terms["dis1"])  # the raw discrepancy
+        terms = step_max_discrepancy(model, batch, weights, opt, Rng(1), sched)
+        vals.append(-terms["dis1"])  # the raw discrepancy
     assert vals[-1] > vals[0]
 
 
@@ -322,9 +381,9 @@ def test_step_joint_reports_builder_terms(with_icoral):
         ({"icoral"} if with_icoral else set())
 
     rng = Rng(5)
-    rep = step_joint(model, batch, weights, ModelOptimizer(model, sched), rng,
-                     with_icoral=with_icoral)
-    assert rep.terms == want
+    terms = step_joint(model, batch, weights, ModelOptimizer(model, sched),
+                       rng, with_icoral=with_icoral)
+    assert terms == want
 
     # the step draws the visual and semantic noise blocks, and the unseen
     # block only when the inverse-coral term is on
