@@ -17,8 +17,8 @@ import numpy as np
 from . import __version__
 from .data import (SynthConfig, load_dataset, minmax_features, save_dataset,
                    synth_generate)
-from .evaluation import (EvalCounts, czsl_eval, encode_test_features,
-                         gzsl_eval)
+from .evaluation import (CZSL_DEFAULT_COUNTS, GZSL_DEFAULT_COUNTS, EvalCounts,
+                         czsl_eval, encode_test_features, gzsl_eval)
 from .gradcheck import run_gradcheck
 from .model import Architecture, Model, load_checkpoint, save_checkpoint
 from .rng import Rng
@@ -108,13 +108,24 @@ def build_model(cfg, ds, seed):
     return Model(arch, Rng(seed).spawn(1)[0])
 
 
+EVAL_DEFAULTS = {"czsl_unseen": CZSL_DEFAULT_COUNTS.unseen,
+                 "gzsl_unseen": GZSL_DEFAULT_COUNTS.unseen,
+                 "gzsl_seen": GZSL_DEFAULT_COUNTS.seen, "use_mean": False}
+
+
 def _eval_counts(cfg):
-    ev = _section(cfg, "eval",
-                  ("czsl_unseen", "gzsl_unseen", "gzsl_seen", "use_mean"))
-    czsl = EvalCounts(unseen=int(ev.get("czsl_unseen", 200)), seen=0)
-    gzsl = EvalCounts(unseen=int(ev.get("gzsl_unseen", 400)),
-                      seen=int(ev.get("gzsl_seen", 200)))
-    return czsl, gzsl, bool(ev.get("use_mean", False))
+    ev = {**EVAL_DEFAULTS, **_section(cfg, "eval", EVAL_DEFAULTS)}
+    for name in ("czsl_unseen", "gzsl_unseen", "gzsl_seen"):
+        value = ev[name]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ConfigError(f"invalid 'eval': '{name}' must be an integer "
+                              f">= 1, got {value!r}")
+    if not isinstance(ev["use_mean"], bool):
+        raise ConfigError(f"invalid 'eval': 'use_mean' must be true or "
+                          f"false, got {ev['use_mean']!r}")
+    czsl = EvalCounts(unseen=ev["czsl_unseen"], seen=0)
+    gzsl = EvalCounts(unseen=ev["gzsl_unseen"], seen=ev["gzsl_seen"])
+    return czsl, gzsl, ev["use_mean"]
 
 
 # ---- commands ------------------------------------------------------------

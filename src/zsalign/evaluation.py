@@ -10,10 +10,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import softmax_cross_entropy
+from .losses import softmax_cross_entropy_grad
+# not called here; bench/tracing.py wraps it under this module's name
+from .losses import softmax_cross_entropy  # noqa: F401
 from .nn import Linear
 from .optim import Adam
-from .tensor import Tensor
+from .tensor import Tensor, check_finite
 
 @dataclass
 class EvalCounts:
@@ -35,12 +37,25 @@ def _gaussian_of_features(model, feats):
     return g.mu.data, np.exp(0.5 * g.logvar.data)
 
 
+def _gaussians_of_rows(model, feats, rows, batch):
+    """`_gaussian_of_features(model, feats[rows])`, encoded `batch` rows per
+    forward with the last forward padded by repeating its last row: BLAS
+    may pick its kernel, and so its rounding, by the row count."""
+    pad = -len(rows) % batch
+    padded = np.concatenate([rows, np.repeat(rows[-1:], pad)])
+    mu, std = zip(*(_gaussian_of_features(model, feats[padded[i:i + batch]])
+                    for i in range(0, len(padded), batch)))
+    return np.concatenate(mu)[:len(rows)], np.concatenate(std)[:len(rows)]
+
+
 def synthesize_latents(model, ds, counts, rng, mode):
     """Labeled latent training set for the downstream classifier.
 
     CZSL: `counts.unseen` reparameterized draws per unseen class from the
     attribute branch. GZSL: additionally `counts.seen` draws per seen class
-    from training features sampled uniformly with replacement.
+    from training features sampled uniformly with replacement. Each
+    distinct sampled feature row is encoded once, in forwards of
+    `counts.seen` rows, as many as one class's draws.
     """
     if mode not in ("CZSL", "GZSL"):
         raise ValueError(f"unknown mode '{mode}'")
@@ -48,25 +63,37 @@ def synthesize_latents(model, ds, counts, rng, mode):
         raise ValueError("counts.unseen must be >= 1")
     if mode == "GZSL" and counts.seen < 1:
         raise ValueError("counts.seen must be >= 1 in GZSL mode")
-    zs, ys = [], []
     unseen = np.sort(ds.unseen_classes)
+    seen = (np.sort(ds.seen_classes) if mode == "GZSL"
+            else np.empty(0, dtype=np.int64))
     mu_u, std_u = _gaussian_of_attrs(model, ds.attributes[unseen])
-    for i, c in enumerate(unseen):
-        noise = rng.standard_normal(counts.unseen, mu_u.shape[1])
-        zs.append(mu_u[i] + std_u[i] * noise)
-        ys.append(np.full(counts.unseen, int(c), dtype=np.int64))
-    if mode == "GZSL":
-        train_labels = ds.labels[ds.train_idx].astype(np.int64)
-        for c in np.sort(ds.seen_classes):
-            pool = ds.train_idx[train_labels == int(c)]
-            if len(pool) == 0:
-                raise ValueError(f"seen class {int(c)} has no training images")
-            pick = pool[rng.integers(0, len(pool), size=counts.seen)]
-            mu, std = _gaussian_of_features(model, ds.features[pick])
-            noise = rng.standard_normal(counts.seen, mu.shape[1])
-            zs.append(mu + std * noise)
-            ys.append(np.full(counts.seen, int(c), dtype=np.int64))
-    return np.concatenate(zs).astype(np.float32), np.concatenate(ys)
+    dim = mu_u.shape[1]
+    n_unseen = len(unseen) * counts.unseen
+    z = np.empty((n_unseen + len(seen) * counts.seen, dim), dtype=np.float32)
+    y = np.concatenate([np.repeat(unseen, counts.unseen),
+                        np.repeat(seen, counts.seen)]).astype(np.int64)
+    z_unseen = z[:n_unseen].reshape(len(unseen), counts.unseen, dim)
+    for i in range(len(unseen)):
+        noise = rng.standard_normal(counts.unseen, dim)
+        z_unseen[i] = mu_u[i] + std_u[i] * noise
+    if mode == "CZSL":
+        return z, y
+    # one class at a time, its feature picks and then its noise, as the
+    # stream has always been drawn; the noise waits in z for the encodings
+    train_labels = ds.labels[ds.train_idx].astype(np.int64)
+    z_seen = z[n_unseen:].reshape(len(seen), counts.seen, dim)
+    picks = np.empty((len(seen), counts.seen), dtype=np.int64)
+    for j, c in enumerate(seen):
+        pool = ds.train_idx[train_labels == int(c)]
+        if len(pool) == 0:
+            raise ValueError(f"seen class {int(c)} has no training images")
+        picks[j] = pool[rng.integers(0, len(pool), size=counts.seen)]
+        z_seen[j] = rng.standard_normal(counts.seen, dim)
+    rows, inv = np.unique(picks, return_inverse=True)
+    mu, std = _gaussians_of_rows(model, ds.features, rows, counts.seen)
+    for j, at in enumerate(inv.reshape(picks.shape)):
+        z_seen[j] = mu[at] + std[at] * z_seen[j]
+    return z, y
 
 
 @dataclass
@@ -82,24 +109,39 @@ class LatentClassifier:
 
 def train_softmax_classifier(latents, labels, rng, epochs=30, lr=1e-3,
                              batch_size=128):
-    """Single affine layer + softmax, Adam on cross-entropy."""
+    """Single affine layer + softmax, Adam on the mean cross-entropy.
+
+    Each step forms the gradients of `w` and `b` directly, with the
+    operations, in the order, that the tape's backward pass would use; the
+    loss value itself is never needed.
+    """
     if len(latents) == 0:
         raise ValueError("empty latent training set")
-    class_ids = np.unique(labels)
-    remap = {int(c): i for i, c in enumerate(class_ids)}
-    y = np.asarray([remap[int(c)] for c in labels], dtype=np.int64)
+    labels = np.asarray(labels)
+    if labels.shape != (len(latents),):
+        raise ValueError(f"need one label per latent: labels of shape "
+                         f"{labels.shape} for {len(latents)} latents")
+    class_ids, y = np.unique(labels, return_inverse=True)
     r_init, r_shuffle = rng.spawn(2)
     layer = Linear(latents.shape[1], len(class_ids), r_init)
-    opt = Adam(layer.params(), lr=lr)
+    w, b = layer.params()
+    opt = Adam([w, b], lr=lr)
     n = len(latents)
     for _ in range(epochs):
         order = r_shuffle.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            loss = softmax_cross_entropy(layer(Tensor(latents[idx])), y[idx])
-            loss.backward()
+            x = latents[idx]
+            logits = x @ w.data + b.data
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            # backward starts from a loss gradient of 1 in the logits dtype
+            g = softmax_cross_entropy_grad(e, y[idx], logits.dtype.type(1))
+            w.grad = (x.T @ g).astype(w.dtype, copy=False)
+            b.grad = g.sum(axis=0, keepdims=True).astype(b.dtype, copy=False)
+            check_finite(w.grad, "gradient")
+            check_finite(b.grad, "gradient")
             opt.step()
-    return LatentClassifier(w=layer.w.data.copy(), b=layer.b.data.copy(),
+    return LatentClassifier(w=w.data.copy(), b=b.data.copy(),
                             class_ids=class_ids)
 
 

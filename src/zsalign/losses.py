@@ -73,13 +73,20 @@ def softmax_cross_entropy(logits, labels):
     loss_data = np.asarray(nll_data.mean(), dtype=logits.dtype)
 
     def backward(g):
-        # the probabilities as tensor.softmax computes them
-        probs = e / e.sum(axis=1, keepdims=True)
-        probs[np.arange(n), labels] -= 1.0
-        logits._accumulate(probs * (g / n))
+        logits._accumulate(softmax_cross_entropy_grad(e, labels, g))
 
     return Tensor(loss_data, logits.requires_grad, (logits,),
                   backward if logits.requires_grad else None)
+
+
+def softmax_cross_entropy_grad(e, labels, g):
+    """Gradient of `g` times the mean NLL with respect to the logits, from
+    the max-shifted exponentials `e`: (softmax - onehot) * g / n, with the
+    probabilities formed as `tensor.softmax` forms them."""
+    n = len(labels)
+    probs = e / e.sum(axis=1, keepdims=True)
+    probs[np.arange(n), labels] -= 1.0
+    return probs * (g / n)
 
 
 def sliced_wasserstein_discrepancy(p1, p2, directions):

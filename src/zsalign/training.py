@@ -15,6 +15,8 @@ finite-difference suite in `gradcheck.py`, which therefore checks the
 gradients of the graph that trains.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -56,17 +58,32 @@ class TrainSchedule:
     adam_beta2: float = 0.999
 
     def validate(self):
-        for name in ("epochs", "inner_repeats"):
+        for name in ("epochs", "batch_size", "swd_directions",
+                     "inner_repeats"):
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(
                     f"schedule field '{name}' must be an integer, "
                     f"got {value!r}")
+        for name in ("learning_rate", "adam_beta1", "adam_beta2"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise TypeError(
+                    f"schedule field '{name}' must be a real number, "
+                    f"got {value!r}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.inner_repeats < 1:
-            raise ValueError(
-                f"inner_repeats must be >= 1, got {self.inner_repeats}")
+        for name in ("batch_size", "swd_directions", "inner_repeats"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, "
+                             f"got {self.learning_rate}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 @dataclass

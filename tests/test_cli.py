@@ -151,6 +151,16 @@ def test_train_rejects_invalid_schedule(tmp_path, capsys):
     ("train", "model", {"latent_dim": 0}),
     ("train", "model", {"latent_dim": "4"}),
     ("ablate", "eval", {"bogus_count": 5}),
+    ("train", "schedule", {"learning_rate": "x"}),
+    ("train", "schedule", {"learning_rate": 0}),
+    ("train", "schedule", {"batch_size": 0}),
+    ("train", "schedule", {"swd_directions": 0}),
+    ("train", "schedule", {"adam_beta1": 1.0}),
+    ("train", "schedule", {"adam_beta2": "0.9"}),
+    ("ablate", "eval", {"czsl_unseen": 0}),
+    ("ablate", "eval", {"gzsl_unseen": "12"}),
+    ("ablate", "eval", {"gzsl_seen": 2.7}),
+    ("ablate", "eval", {"use_mean": "false"}),
 ])
 def test_invalid_config_section_exits_1(tmp_path, capsys, verb, section,
                                         values):
@@ -158,6 +168,20 @@ def test_invalid_config_section_exits_1(tmp_path, capsys, verb, section,
     out = tmp_path / "run"
     assert main([verb, "--config", cfg, "--out", str(out)]) == 1
     assert f"'{section}'" in capsys.readouterr().err
+
+
+def test_ablate_rejects_eval_counts_before_training(tmp_path, capsys,
+                                                   monkeypatch):
+    import zsalign.cli
+    fits = []
+    monkeypatch.setattr(zsalign.cli, "fit",
+                        lambda *args, **kwargs: fits.append(args))
+    cfg = write_cfg(tmp_path, seeds=[1], eval={"czsl_unseen": 0})
+    out = tmp_path / "abl"
+    assert main(["ablate", "--config", cfg, "--out", str(out)]) == 1
+    assert "czsl_unseen" in capsys.readouterr().err
+    assert fits == []
+    assert not (out / "ablation.csv").exists()
 
 
 def test_gradcheck_command(capsys):

@@ -1,14 +1,16 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from zsalign import (Architecture, EvalCounts, Model, Rng, SynthConfig,
-                     czsl_eval, gzsl_eval, harmonic_mean, per_class_top1,
-                     synth_generate, synthesize_latents,
-                     train_softmax_classifier)
+from zsalign import (Adam, Architecture, EvalCounts, Linear, Model, Rng,
+                     SynthConfig, Tensor, czsl_eval, gzsl_eval, harmonic_mean,
+                     per_class_top1, softmax_cross_entropy, synth_generate,
+                     synthesize_latents, train_softmax_classifier)
 from zsalign.evaluation import (CZSL_DEFAULT_COUNTS, GZSL_DEFAULT_COUNTS,
-                                LatentClassifier, MetricsReport)
+                                LatentClassifier, MetricsReport,
+                                _gaussian_of_attrs, _gaussian_of_features)
 
 SMALL_ARCH = dict(structure_dim=12, latent_dim=4, common_hidden=8,
                   dec_visual_hidden=8, dec_semantic_hidden=6)
@@ -102,6 +104,64 @@ def test_synthesis_deterministic():
     assert np.array_equal(z1, z2)
 
 
+def per_draw_synthesis(model, ds, counts, rng):
+    """GZSL synthesis that encodes every draw, one forward per seen class of
+    `counts.seen` rows: the reference for `synthesize_latents`."""
+    zs, ys = [], []
+    unseen = np.sort(ds.unseen_classes)
+    mu_u, std_u = _gaussian_of_attrs(model, ds.attributes[unseen])
+    for i, c in enumerate(unseen):
+        noise = rng.standard_normal(counts.unseen, mu_u.shape[1])
+        zs.append(mu_u[i] + std_u[i] * noise)
+        ys.append(np.full(counts.unseen, int(c), dtype=np.int64))
+    train_labels = ds.labels[ds.train_idx].astype(np.int64)
+    for c in np.sort(ds.seen_classes):
+        pool = ds.train_idx[train_labels == int(c)]
+        pick = pool[rng.integers(0, len(pool), size=counts.seen)]
+        mu, std = _gaussian_of_features(model, ds.features[pick])
+        noise = rng.standard_normal(counts.seen, mu.shape[1])
+        zs.append(mu + std * noise)
+        ys.append(np.full(counts.seen, int(c), dtype=np.int64))
+    return np.concatenate(zs).astype(np.float32), np.concatenate(ys)
+
+
+def with_train_pools(ds, sizes):
+    """`ds` with the training images of its i-th seen class cut to the first
+    `sizes[i]`."""
+    labels = ds.labels[ds.train_idx]
+    keep = [ds.train_idx[labels == c][:k]
+            for c, k in zip(np.sort(ds.seen_classes), sizes)]
+    return dataclasses.replace(ds, train_idx=np.concatenate(keep))
+
+
+@pytest.mark.parametrize("seen", [1, 3, 7, 40])
+@pytest.mark.parametrize("sizes", [(16, 16, 16, 16), (1, 2, 3, 16),
+                                   (1, 1, 1, 1)])
+def test_gzsl_synthesis_bitwise_matches_per_draw_encoding(monkeypatch, seen,
+                                                          sizes):
+    # pools smaller and larger than counts.seen; each distinct pick is
+    # encoded once, in forwards of exactly counts.seen rows
+    ds, model = small_setup()
+    ds = with_train_pools(ds, sizes)
+    counts = EvalCounts(unseen=9, seen=seen)
+    want_z, want_y = per_draw_synthesis(model, ds, counts, Rng(4))
+    rows = []
+    encode = Model.encode_visual
+
+    def counted(self, x):
+        rows.append(len(x.data))
+        return encode(self, x)
+
+    monkeypatch.setattr(Model, "encode_visual", counted)
+    z, y = synthesize_latents(model, ds, counts, Rng(4), "GZSL")
+    assert z.tobytes() == want_z.tobytes()
+    assert y.tobytes() == want_y.tobytes()
+    assert z.dtype == np.float32 and y.dtype == np.int64
+    assert set(rows) == {seen}
+    # at most one forward per class, and no more than the distinct rows need
+    assert len(rows) <= min(len(sizes), -(-sum(sizes) // seen))
+
+
 # ---- per-class accuracy ---------------------------------------------------
 
 def constant_classifier(class_id, dim, all_ids):
@@ -164,6 +224,67 @@ def test_softmax_classifier_rejects_empty():
     with pytest.raises(ValueError):
         train_softmax_classifier(np.zeros((0, 4), dtype=np.float32),
                                  np.zeros(0), Rng(0))
+
+
+def test_softmax_classifier_rejects_label_count_mismatch():
+    z = np.zeros((5, 4), dtype=np.float32)
+    for labels in (np.zeros(4), np.zeros(6), np.zeros((5, 1))):
+        with pytest.raises(ValueError, match="one label per latent"):
+            train_softmax_classifier(z, labels, Rng(0))
+
+
+class TapeClassifierOracle:
+    """The classifier trained through the autodiff tape, with the per-label
+    dict remap: the reference for `train_softmax_classifier`."""
+
+    def __init__(self, latents, labels, rng, epochs=30, lr=1e-3,
+                 batch_size=128):
+        self.class_ids = np.unique(labels)
+        remap = {int(c): i for i, c in enumerate(self.class_ids)}
+        y = np.asarray([remap[int(c)] for c in labels], dtype=np.int64)
+        r_init, r_shuffle = rng.spawn(2)
+        layer = Linear(latents.shape[1], len(self.class_ids), r_init)
+        opt = Adam(layer.params(), lr=lr)
+        n = len(latents)
+        for _ in range(epochs):
+            order = r_shuffle.permutation(n)
+            for start in range(0, n, batch_size):
+                idx = order[start:start + batch_size]
+                loss = softmax_cross_entropy(layer(Tensor(latents[idx])),
+                                             y[idx])
+                loss.backward()
+                opt.step()
+        self.w, self.b = layer.w.data, layer.b.data
+
+
+@pytest.mark.parametrize("n,classes,dtype", [
+    (1000, 2, np.float32),     # ragged last batch of 104 rows
+    (1000, 50, np.float32),
+    (1000, 200, np.float32),
+    (257, 7, np.float32),      # last batch of one row
+    (90, 5, np.float32),       # one batch, smaller than batch_size
+    (300, 13, np.float64),
+])
+def test_classifier_bitwise_matches_tape_oracle(n, classes, dtype):
+    rng = Rng(n + classes)
+    ids = rng.permutation(10 * classes)[:classes] + 3
+    labels = ids[rng.integers(0, classes, size=n)]
+    centers = 3.0 * rng.standard_normal(10 * classes + 3, 16)
+    latents = (centers[labels] + rng.standard_normal(n, 16)).astype(dtype)
+    got = train_softmax_classifier(latents, labels, Rng(9), epochs=4)
+    want = TapeClassifierOracle(latents, labels, Rng(9), epochs=4)
+    assert got.w.dtype == want.w.dtype and got.b.dtype == want.b.dtype
+    assert got.w.tobytes() == want.w.tobytes()
+    assert got.b.tobytes() == want.b.tobytes()
+    assert np.array_equal(got.class_ids, want.class_ids)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_classifier_non_finite_latent_fails_gradient_check():
+    z = Rng(0).standard_normal(300, 4)
+    z[137, 2] = np.inf
+    with pytest.raises(ValueError, match="gradient"):
+        train_softmax_classifier(z, np.arange(300) % 3, Rng(1), epochs=1)
 
 
 # ---- end-to-end metric protocols ------------------------------------------

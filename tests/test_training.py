@@ -255,9 +255,13 @@ def test_fit_zero_epochs_leaves_model_untouched():
     assert model.param_bytes() == before
 
 
-@pytest.mark.parametrize("field,value", [("inner_repeats", 0),
-                                         ("inner_repeats", -1),
-                                         ("epochs", -3)])
+@pytest.mark.parametrize("field,value", [
+    ("inner_repeats", 0), ("inner_repeats", -1), ("epochs", -3),
+    ("batch_size", 0), ("swd_directions", 0), ("learning_rate", 0.0),
+    ("learning_rate", -1e-3), ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")), ("adam_beta1", 1.0),
+    ("adam_beta1", -0.1), ("adam_beta2", 1.0), ("adam_beta2", float("nan")),
+])
 def test_fit_rejects_invalid_schedule(field, value):
     # no silent rewrite: 0 inner repeats must not run one encoder step, and
     # negative epochs must not train nothing and report success
@@ -265,6 +269,19 @@ def test_fit_rejects_invalid_schedule(field, value):
     setattr(sched, field, value)
     before = model.param_bytes()
     with pytest.raises(ValueError, match=field):
+        fit(model, ds, sched, Rng(0))
+    assert model.param_bytes() == before
+
+
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", "x"), ("batch_size", 2.5), ("batch_size", True),
+    ("swd_directions", "8"), ("adam_beta1", None), ("adam_beta2", False),
+])
+def test_fit_rejects_mistyped_schedule(field, value):
+    ds, model, sched = small_setup()
+    setattr(sched, field, value)
+    before = model.param_bytes()
+    with pytest.raises(TypeError, match=field):
         fit(model, ds, sched, Rng(0))
     assert model.param_bytes() == before
 
