@@ -22,12 +22,19 @@ from .evaluation import (CZSL_DEFAULT_COUNTS, GZSL_DEFAULT_COUNTS, EvalCounts,
 from .gradcheck import run_gradcheck
 from .model import Architecture, Model, load_checkpoint, save_checkpoint
 from .rng import Rng
+from .tensor import check_type
 from .training import (AblationFlags, TrainSchedule, TrainingDivergence, fit,
                        write_curves)
 
 
 class ConfigError(ValueError):
     pass
+
+
+# every top-level config key, with the type of its value
+TOP_LEVEL = {"synth": dict, "model": dict, "schedule": dict, "ablation": dict,
+             "eval": dict, "dataset": str, "minmax": bool, "seed": int,
+             "seeds": list, "out": str}
 
 
 def load_config(path):
@@ -42,13 +49,23 @@ def load_config(path):
             raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    unknown = set(cfg) - set(TOP_LEVEL)
+    if unknown:
+        raise ConfigError(f"unknown top-level key '{sorted(unknown)[0]}'")
+    try:
+        for key, value in cfg.items():
+            check_type(key, value, TOP_LEVEL[key])
+        for value in cfg.get("seeds", ()):
+            check_type("seeds", value, int)
+    except TypeError as e:
+        raise ConfigError(f"invalid config: {e}") from e
+    if cfg.get("seeds") == []:
+        raise ConfigError("'seeds' must not be empty")
     return cfg
 
 
 def _section(cfg, key, valid):
     sub = cfg.get(key, {})
-    if not isinstance(sub, dict):
-        raise ConfigError(f"config field '{key}' must be an object")
     unknown = set(sub) - set(valid)
     if unknown:
         raise ConfigError(f"unknown field '{sorted(unknown)[0]}' in '{key}'")
@@ -59,12 +76,17 @@ def _take(cfg, key, cls, **fixed):
     """The dataclass `cls` built from config section `key`, with the
     `fixed` fields overriding the file, and validated."""
     obj = cls(**{**_section(cfg, key, cls.__dataclass_fields__), **fixed})
-    if hasattr(obj, "validate"):
-        try:
-            obj.validate()
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"invalid '{key}': {e}") from e
+    try:
+        obj.validate()
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"invalid '{key}': {e}") from e
     return obj
+
+
+def _synth_config(cfg, seed):
+    """The `synth` section, whose `seed` defaults to the run seed."""
+    return _take(cfg, "synth", SynthConfig,
+                 seed=cfg.get("synth", {}).get("seed", seed))
 
 
 def resolve_dataset(cfg, seed):
@@ -76,10 +98,7 @@ def resolve_dataset(cfg, seed):
     if has_path:
         ds = load_dataset(cfg["dataset"])
     else:
-        synth = _take(cfg, "synth", SynthConfig)
-        if "seed" not in cfg.get("synth", {}):
-            synth.seed = seed
-        ds = synth_generate(synth)
+        ds = synth_generate(_synth_config(cfg, seed))
     if cfg.get("minmax", False):
         ds = minmax_features(ds)
     return ds
@@ -115,14 +134,15 @@ EVAL_DEFAULTS = {"czsl_unseen": CZSL_DEFAULT_COUNTS.unseen,
 
 def _eval_counts(cfg):
     ev = {**EVAL_DEFAULTS, **_section(cfg, "eval", EVAL_DEFAULTS)}
+    try:
+        for name, default in EVAL_DEFAULTS.items():
+            check_type(name, ev[name], type(default))
+    except TypeError as e:
+        raise ConfigError(f"invalid 'eval': {e}") from e
     for name in ("czsl_unseen", "gzsl_unseen", "gzsl_seen"):
-        value = ev[name]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ConfigError(f"invalid 'eval': '{name}' must be an integer "
-                              f">= 1, got {value!r}")
-    if not isinstance(ev["use_mean"], bool):
-        raise ConfigError(f"invalid 'eval': 'use_mean' must be true or "
-                          f"false, got {ev['use_mean']!r}")
+        if ev[name] < 1:
+            raise ConfigError(f"invalid 'eval': '{name}' must be >= 1, "
+                              f"got {ev[name]!r}")
     czsl = EvalCounts(unseen=ev["czsl_unseen"], seen=0)
     gzsl = EvalCounts(unseen=ev["gzsl_unseen"], seen=ev["gzsl_seen"])
     return czsl, gzsl, ev["use_mean"]
@@ -132,10 +152,7 @@ def _eval_counts(cfg):
 
 def cmd_synth(cfg, seed, out):
     os.makedirs(out, exist_ok=True)
-    synth = _take(cfg, "synth", SynthConfig)
-    if "seed" not in cfg.get("synth", {}):
-        synth.seed = seed
-    ds = synth_generate(synth)
+    ds = synth_generate(_synth_config(cfg, seed))
     target = os.path.join(out, "dataset")
     save_dataset(ds, target)
     print(f"wrote dataset to {target}: {ds.n_samples} samples, "
@@ -286,7 +303,7 @@ def main(argv=None):
         return 1 if e.code not in (0, None) else 0
     try:
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         out = args.out if args.out is not None else cfg.get("out", "runs/out")
         if args.command == "synth":
             return cmd_synth(cfg, seed, out)

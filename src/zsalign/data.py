@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .rng import Rng
-from .tensor import check_finite
+from .tensor import check_fields, check_finite
 
 FORMAT_VERSION = 1
 
@@ -176,6 +176,12 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self):
+        check_fields(self)
+        for name in ("visual_map", "attr_map"):
+            value = getattr(self, name)
+            if value not in _MAPS:
+                raise ValueError(f"synth field '{name}' must be one of "
+                                 f"{sorted(_MAPS)}, got {value!r}")
         if self.n_seen >= self.n_classes or self.n_seen < 1:
             raise ValueError("need 1 <= n_seen < n_classes")
         for name in ("n_classes", "samples_per_class", "visual_dim",

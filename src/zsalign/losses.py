@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, sort_ascending_columns
+from .tensor import Tensor, as_tensor, node, sort_ascending_columns
 
 
 @dataclass
@@ -75,8 +75,7 @@ def softmax_cross_entropy(logits, labels):
     def backward(g):
         logits._accumulate(softmax_cross_entropy_grad(e, labels, g))
 
-    return Tensor(loss_data, logits.requires_grad, (logits,),
-                  backward if logits.requires_grad else None)
+    return node(loss_data, (logits,), backward)
 
 
 def softmax_cross_entropy_grad(e, labels, g):

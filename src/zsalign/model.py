@@ -11,7 +11,7 @@ import numpy as np
 
 from .losses import GaussianParams
 from .nn import Mlp
-from .tensor import Tensor, as_tensor, check_finite
+from .tensor import Tensor, as_tensor, check_fields, check_finite
 
 
 @dataclass
@@ -26,10 +26,11 @@ class Architecture:
     dec_semantic_hidden: int = 660
 
     def validate(self):
+        check_fields(self)
         for name, value in asdict(self).items():
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"architecture field '{name}' must be an "
-                                 f"integer >= 1, got {value!r}")
+            if value < 1:
+                raise ValueError(f"architecture field '{name}' must be >= 1, "
+                                 f"got {value!r}")
 
 
 # group names, fixed order (also the checkpoint manifest order)

@@ -1,12 +1,14 @@
 """Minimal reverse-mode autodiff over 2-D numpy arrays.
 
 The op catalogue is fixed on purpose: affine (matmul/add), ReLU, softmax,
-elementwise exp/log/sqrt/abs/square, full and axis reductions, and a
+elementwise exp/sqrt/abs/square, full and axis reductions, and a
 column-sort whose gradient is routed through the sorting permutation.
 That is everything the losses in this package need, and nothing more.
 
 Reductions accumulate in float64 regardless of storage dtype.
 """
+
+import numbers
 
 import numpy as np
 
@@ -15,6 +17,20 @@ def check_finite(arr, name):
     """Raise if `arr` contains NaN/Inf. Used at API boundaries."""
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"non-finite values in '{name}'")
+
+
+def check_type(name, value, kind):
+    """Raise TypeError unless `value` is a `kind`, where a bool is no int
+    and an int is a valid float. Used on config values."""
+    if (not isinstance(value, numbers.Real if kind is float else kind)
+            or (isinstance(value, bool) and kind is not bool)):
+        raise TypeError(f"'{name}' must be {kind.__name__}, got {value!r}")
+
+
+def check_fields(obj):
+    """`check_type` on each field of the dataclass `obj`, by declared type."""
+    for name, field in obj.__dataclass_fields__.items():
+        check_type(name, getattr(obj, name), field.type)
 
 
 def _unbroadcast(grad, shape):
@@ -46,9 +62,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self):
-        return float(self.data)
 
     def detach(self):
         return Tensor(self.data)
@@ -89,10 +102,7 @@ class Tensor:
     # ---- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Tensor):
-            other = Tensor(np.asarray(other, dtype=self.dtype))
-        out_data = self.data + other.data
-        req = self.requires_grad or other.requires_grad
+        other = as_tensor(other, self.dtype)
 
         def backward(g):
             if self.requires_grad:
@@ -100,29 +110,18 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g, other.shape))
 
-        return Tensor(out_data, req, (self, other), backward if req else None)
-
-    __radd__ = __add__
+        return node(self.data + other.data, (self, other), backward)
 
     def __neg__(self):
         def backward(g):
             self._accumulate(-g)
-        return Tensor(-self.data, self.requires_grad, (self,),
-                      backward if self.requires_grad else None)
+        return node(-self.data, (self,), backward)
 
     def __sub__(self, other):
-        if not isinstance(other, Tensor):
-            other = Tensor(np.asarray(other, dtype=self.dtype))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + (-as_tensor(other, self.dtype))
 
     def __mul__(self, other):
-        if not isinstance(other, Tensor):
-            other = Tensor(np.asarray(other, dtype=self.dtype))
-        out_data = self.data * other.data
-        req = self.requires_grad or other.requires_grad
+        other = as_tensor(other, self.dtype)
 
         def backward(g):
             if self.requires_grad:
@@ -130,7 +129,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g * self.data, other.shape))
 
-        return Tensor(out_data, req, (self, other), backward if req else None)
+        return node(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -138,10 +137,7 @@ class Tensor:
         return self * (1.0 / float(scalar))
 
     def __matmul__(self, other):
-        if not isinstance(other, Tensor):
-            other = Tensor(other)
-        out_data = self.data @ other.data
-        req = self.requires_grad or other.requires_grad
+        other = as_tensor(other)
 
         def backward(g):
             if self.requires_grad:
@@ -149,13 +145,12 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(self.data.T @ g)
 
-        return Tensor(out_data, req, (self, other), backward if req else None)
+        return node(self.data @ other.data, (self, other), backward)
 
     def t(self):
         def backward(g):
             self._accumulate(g.T)
-        return Tensor(self.data.T, self.requires_grad, (self,),
-                      backward if self.requires_grad else None)
+        return node(self.data.T, (self,), backward)
 
     # ---- elementwise ----------------------------------------------------
 
@@ -163,21 +158,13 @@ class Tensor:
         mask = self.data > 0
         def backward(g):
             self._accumulate(g * mask)
-        return Tensor(self.data * mask, self.requires_grad, (self,),
-                      backward if self.requires_grad else None)
+        return node(self.data * mask, (self,), backward)
 
     def exp(self):
         out_data = np.exp(self.data)
         def backward(g):
             self._accumulate(g * out_data)
-        return Tensor(out_data, self.requires_grad, (self,),
-                      backward if self.requires_grad else None)
-
-    def log(self):
-        def backward(g):
-            self._accumulate(g / self.data)
-        return Tensor(np.log(self.data), self.requires_grad, (self,),
-                      backward if self.requires_grad else None)
+        return node(out_data, (self,), backward)
 
     def sqrt(self):
         out_data = np.sqrt(self.data)
@@ -187,21 +174,18 @@ class Tensor:
             safe = np.where(out_data > 0, out_data, 1.0)
             self._accumulate(np.where(out_data > 0, g / (2.0 * safe), 0.0))
 
-        return Tensor(out_data, self.requires_grad, (self,),
-                      backward if self.requires_grad else None)
+        return node(out_data, (self,), backward)
 
     def abs(self):
         sign = np.sign(self.data)
         def backward(g):
             self._accumulate(g * sign)
-        return Tensor(np.abs(self.data), self.requires_grad, (self,),
-                      backward if self.requires_grad else None)
+        return node(np.abs(self.data), (self,), backward)
 
     def square(self):
         def backward(g):
             self._accumulate(g * (2.0 * self.data))
-        return Tensor(self.data * self.data, self.requires_grad, (self,),
-                      backward if self.requires_grad else None)
+        return node(self.data * self.data, (self,), backward)
 
     # ---- reductions -----------------------------------------------------
 
@@ -214,12 +198,18 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.shape).copy())
 
-        return Tensor(out_data, self.requires_grad, (self,),
-                      backward if self.requires_grad else None)
+        return node(out_data, (self,), backward)
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) / n
+
+
+def node(data, parents, backward):
+    """The one way an op adds to the tape: the result needs a gradient iff
+    one of its `parents` does, and only then is `backward` recorded."""
+    req = any(p.requires_grad for p in parents)
+    return Tensor(data, req, parents, backward if req else None)
 
 
 def softmax(logits):
@@ -232,8 +222,7 @@ def softmax(logits):
         dot = np.sum(g * probs, axis=1, keepdims=True, dtype=np.float64)
         logits._accumulate(probs * (g - dot.astype(probs.dtype)))
 
-    return Tensor(probs, logits.requires_grad, (logits,),
-                  backward if logits.requires_grad else None)
+    return node(probs, (logits,), backward)
 
 
 def sort_ascending_columns(x):
@@ -249,17 +238,12 @@ def sort_ascending_columns(x):
         np.put_along_axis(gx, order, g, axis=0)
         x._accumulate(gx)
 
-    return Tensor(out_data, x.requires_grad, (x,),
-                  backward if x.requires_grad else None)
+    return node(out_data, (x,), backward)
 
 
 def as_tensor(x, dtype=None):
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    return Tensor(arr)
+    """`x` if it is a Tensor, else a constant leaf (of `dtype`, if given)."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
 
 
 def finite_difference_check(loss_fn, params, step=1e-5, tamper=None):

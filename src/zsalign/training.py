@@ -16,7 +16,6 @@ gradients of the graph that trains.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import losses
 from .model import GROUPS
 from .optim import Adam
-from .tensor import Tensor, softmax
+from .tensor import Tensor, check_fields, softmax
 
 CLS_GROUPS = ("cls1", "cls2")
 ENC_GROUPS = ("enc_visual", "enc_semantic")
@@ -58,19 +57,7 @@ class TrainSchedule:
     adam_beta2: float = 0.999
 
     def validate(self):
-        for name in ("epochs", "batch_size", "swd_directions",
-                     "inner_repeats"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(
-                    f"schedule field '{name}' must be an integer, "
-                    f"got {value!r}")
-        for name in ("learning_rate", "adam_beta1", "adam_beta2"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise TypeError(
-                    f"schedule field '{name}' must be a real number, "
-                    f"got {value!r}")
+        check_fields(self)
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         for name in ("batch_size", "swd_directions", "inner_repeats"):
@@ -244,6 +231,9 @@ class AblationFlags:
     disable_da_icoral: bool = False
     disable_icoral: bool = False
 
+    def validate(self):
+        check_fields(self)
+
 
 def effective_weights(weights, flags):
     w = Weights(**asdict(weights))
@@ -303,25 +293,22 @@ def fit(model, ds, sched, rng, flags=None, progress=None):
         means = train_epoch(model, ds, sched, epoch, epoch_rngs[epoch], opt,
                             flags)
         w = effective_weights(schedule_weights(sched, epoch), flags)
-        row = {"epoch": epoch, **means, "gamma": w.gamma, "l1": w.l1,
-               "l2": w.l2, "l3": w.l3}
+        row = {"epoch": epoch, **means, **asdict(w)}
         curves.append(row)
         if progress is not None:
             progress(row)
     return curves
 
 
-CURVES_HEADER = ("epoch,vae_x,vae_a,rec,cls,dis1,dis2,da,icoral,"
-                 "gamma,l1,l2,l3")
+# the curves.csv columns after the epoch: loss terms, then annealing weights
+CURVE_COLUMNS = LOSS_TERMS + tuple(Weights.__dataclass_fields__)
+CURVES_HEADER = ",".join(("epoch",) + CURVE_COLUMNS)
 
 
 def write_curves(curves, path):
     lines = [CURVES_HEADER]
     for row in curves:
-        vals = [str(int(row["epoch"]))]
-        for key in ("vae_x", "vae_a", "rec", "cls", "dis1", "dis2", "da",
-                    "icoral", "gamma", "l1", "l2", "l3"):
-            vals.append(f"{row[key]:.6f}")
-        lines.append(",".join(vals))
+        lines.append(",".join([str(int(row["epoch"]))] +
+                              [f"{row[key]:.6f}" for key in CURVE_COLUMNS]))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")

@@ -161,6 +161,10 @@ def test_train_rejects_invalid_schedule(tmp_path, capsys):
     ("ablate", "eval", {"gzsl_unseen": "12"}),
     ("ablate", "eval", {"gzsl_seen": 2.7}),
     ("ablate", "eval", {"use_mean": "false"}),
+    ("train", "ablation", {"disable_sa": "false"}),
+    ("train", "model", {"latent_dim": True}),
+    ("train", "synth", {"visual_map": "cube"}),
+    ("train", "synth", {"sample_noise": "x"}),
 ])
 def test_invalid_config_section_exits_1(tmp_path, capsys, verb, section,
                                         values):
@@ -168,6 +172,47 @@ def test_invalid_config_section_exits_1(tmp_path, capsys, verb, section,
     out = tmp_path / "run"
     assert main([verb, "--config", cfg, "--out", str(out)]) == 1
     assert f"'{section}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb,key,value", [
+    ("train", "schedual", {"epochs": 1}),
+    ("train", "minmax", "false"),
+    ("train", "seed", 2.7),
+    ("train", "seed", "x"),
+    ("train", "out", 5),
+    ("train", "dataset", 3),
+    ("train", "model", [4]),
+    ("ablate", "seeds", 3),
+    ("ablate", "seeds", [1, 2.5]),
+    ("ablate", "seeds", []),
+])
+def test_invalid_top_level_config_exits_1(tmp_path, capsys, monkeypatch,
+                                          verb, key, value):
+    import zsalign.cli
+    fits = []
+    monkeypatch.setattr(zsalign.cli, "fit",
+                        lambda *args, **kwargs: fits.append(args))
+    cfg = json.loads(open(write_cfg(tmp_path), encoding="utf-8").read())
+    if key == "dataset":
+        del cfg["synth"]  # one dataset source: only the value's type is wrong
+    cfg[key] = value
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(cfg))
+    assert main([verb, "--config", str(path),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+    assert fits == []
+
+
+def test_load_config_accepts_every_top_level_key(tmp_path):
+    from zsalign.cli import TOP_LEVEL, load_config
+    cfg = {"synth": {}, "model": {}, "schedule": {}, "ablation": {},
+           "eval": {}, "dataset": "data", "minmax": True, "seed": 3,
+           "seeds": [1, 2], "out": "runs/x"}
+    assert set(cfg) == set(TOP_LEVEL)
+    path = tmp_path / "all.json"
+    path.write_text(json.dumps(cfg))
+    assert load_config(str(path)) == cfg
 
 
 def test_ablate_rejects_eval_counts_before_training(tmp_path, capsys,

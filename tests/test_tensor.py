@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zsalign import Adam, Mlp, Rng, Tensor, finite_difference_check
+from zsalign.losses import softmax_cross_entropy
 from zsalign.optim import _CHUNK
 from zsalign.tensor import softmax, sort_ascending_columns
 
@@ -109,6 +110,55 @@ def test_softmax_rows_on_simplex():
     p = softmax(logits).data
     assert np.all(p >= 0)
     assert np.allclose(p.sum(axis=1), 1.0)
+
+
+@pytest.mark.parametrize("op,reference", [
+    (lambda x: x + 1.0, lambda a: a + np.float32(1.0)),
+    (lambda x: x - 2, lambda a: a - np.float32(2)),
+    (lambda x: x * 0.1, lambda a: a * np.float32(0.1)),
+    (lambda x: x / 3, lambda a: a * np.float32(1.0 / 3)),
+], ids=["add", "sub", "mul", "div"])
+def test_scalar_operand_keeps_float32(op, reference):
+    a = Rng(2).standard_normal(4, 3)
+    out = op(Tensor(a, requires_grad=True)).data
+    assert out.dtype == np.float32
+    assert out.tobytes() == reference(a).tobytes()
+
+
+# every node-building op, over operands that need no gradient
+CONSTANT_OPS = {
+    "add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+    "neg": lambda a, b: -a, "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / 2, "matmul": lambda a, b: a @ b.t(),
+    "t": lambda a, b: a.t(), "relu": lambda a, b: a.relu(),
+    "exp": lambda a, b: a.exp(), "sqrt": lambda a, b: a.sqrt(),
+    "abs": lambda a, b: a.abs(), "square": lambda a, b: a.square(),
+    "sum": lambda a, b: a.sum(), "sum_axis": lambda a, b: a.sum(axis=0),
+    "mean": lambda a, b: a.mean(axis=1, keepdims=True),
+    "softmax": lambda a, b: softmax(a),
+    "sort": lambda a, b: sort_ascending_columns(a),
+    "cross_entropy": lambda a, b: softmax_cross_entropy(a, [0, 2, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_OPS))
+def test_op_over_constants_records_no_backward(name):
+    a = Tensor(np.abs(Rng(3).standard_normal(4, 3)) + 0.1)
+    b = Tensor(Rng(4).standard_normal(4, 3))
+    out = CONSTANT_OPS[name](a, b)
+    assert not out.requires_grad
+    assert out._backward is None
+
+
+def test_constant_leaf_in_mixed_graph_gets_no_gradient():
+    p = Tensor(Rng(5).standard_normal(4, 3, dtype=np.float64),
+               requires_grad=True)
+    c = Tensor(Rng(6).standard_normal(4, 3, dtype=np.float64))
+    h = (p * c + c - 0.5) @ c.t()
+    loss = h.square().sum() + softmax_cross_entropy(h, [0, 1, 2, 3])
+    loss.backward()
+    assert p.grad is not None and p.grad.shape == p.shape
+    assert c.grad is None
 
 
 def test_adam_zero_gradient_noop():
