@@ -61,6 +61,8 @@ def load_config(path):
         raise ConfigError(f"invalid config: {e}") from e
     if cfg.get("seeds") == []:
         raise ConfigError("'seeds' must not be empty")
+    if any(s < 0 for s in cfg.get("seeds", ())):
+        raise ConfigError(f"'seeds' must be >= 0, got {cfg['seeds']}")
     return cfg
 
 
@@ -304,6 +306,8 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        if seed < 0:
+            raise ConfigError(f"'seed' must be >= 0, got {seed}")
         out = args.out if args.out is not None else cfg.get("out", "runs/out")
         if args.command == "synth":
             return cmd_synth(cfg, seed, out)

@@ -19,6 +19,27 @@ from .rng import Rng
 from .tensor import check_fields, check_finite
 
 FORMAT_VERSION = 1
+DIM_FIELDS = ("n_samples", "visual_dim", "attr_dim", "n_classes")
+INDEX_FIELDS = ("seen_classes", "unseen_classes", "train_idx",
+                "test_seen_idx", "test_unseen_idx")
+
+
+def _reject(name, arr, bad, why):
+    """Raise ValueError naming the first entry of `arr` that `bad` flags."""
+    bad = np.flatnonzero(bad)
+    if bad.size:
+        raise ValueError(f"{name}[{bad[0]}] = {arr[bad[0]]} {why}")
+
+
+def _check_range(name, arr, n):
+    _reject(name, arr, (arr < 0) | (arr >= n), f"out of range [0, {n})")
+
+
+def _check_disjoint(what, a, b):
+    # np.isin, not np.intersect1d, which imports numpy.ma on first use
+    common = np.sort(a[np.isin(a, b)])
+    if common.size:
+        raise ValueError(f"{what} overlap at {common[:5].tolist()}")
 
 
 @dataclass
@@ -49,68 +70,44 @@ class ZslDataset:
         return self.attributes.shape[1]
 
     def validate(self):
+        """Raise ValueError at the first broken invariant. Every index is
+        range-checked before it is used as one."""
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree on sample count")
         check_finite(self.features, "features")
         check_finite(self.attributes, "attributes")
-        seen = set(int(c) for c in self.seen_classes)
-        unseen = set(int(c) for c in self.unseen_classes)
-        if seen & unseen:
-            raise ValueError(
-                f"seen/unseen classes overlap: {sorted(seen & unseen)}")
-        for name, arr in (("seen_classes", self.seen_classes),
-                          ("unseen_classes", self.unseen_classes)):
-            for c in arr:
-                if not 0 <= int(c) < self.n_classes:
-                    raise ValueError(f"{name} entry {int(c)} out of range "
-                                     f"[0, {self.n_classes})")
-        for i, y in enumerate(self.labels):
-            if not 0 <= int(y) < self.n_classes:
-                raise ValueError(
-                    f"labels[{i}] = {int(y)} out of range [0, {self.n_classes})")
-        referenced = set(int(y) for y in self.labels)
-        if not referenced <= (seen | unseen):
-            raise ValueError("labels reference classes outside seen+unseen: "
-                             f"{sorted(referenced - seen - unseen)}")
-        for name, idx in (("train_idx", self.train_idx),
-                          ("test_seen_idx", self.test_seen_idx),
-                          ("test_unseen_idx", self.test_unseen_idx)):
-            for i in idx:
-                if not 0 <= int(i) < self.n_samples:
-                    raise ValueError(
-                        f"{name} entry {int(i)} out of range [0, {self.n_samples})")
-        train = set(int(i) for i in self.train_idx)
-        test = set(int(i) for i in self.test_seen_idx) | \
-            set(int(i) for i in self.test_unseen_idx)
-        if train & test:
-            raise ValueError(
-                f"train/test split overlap at samples {sorted(train & test)[:5]}")
-        for name, idx, allowed in (
-                ("train_idx", self.train_idx, seen),
-                ("test_seen_idx", self.test_seen_idx, seen),
-                ("test_unseen_idx", self.test_unseen_idx, unseen)):
-            for i in idx:
-                if int(self.labels[int(i)]) not in allowed:
-                    raise ValueError(
-                        f"{name} sample {int(i)} has class "
-                        f"{int(self.labels[int(i)])} outside its allowed set")
+        for name in INDEX_FIELDS:
+            arr = getattr(self, name)
+            repeat = np.ones(arr.size, dtype=bool)
+            repeat[np.unique(arr, return_index=True)[1]] = False
+            _reject(name, arr, repeat, "repeats an earlier entry")
+        _check_disjoint("seen/unseen classes", self.seen_classes,
+                        self.unseen_classes)
+        for name in ("seen_classes", "unseen_classes", "labels"):
+            _check_range(name, getattr(self, name), self.n_classes)
+        classes = np.concatenate([self.seen_classes, self.unseen_classes])
+        _reject("labels", self.labels, ~np.isin(self.labels, classes),
+                "is outside seen_classes and unseen_classes")
+        for name in INDEX_FIELDS[2:]:
+            _check_range(name, getattr(self, name), self.n_samples)
+        _check_disjoint("train/test split", self.train_idx,
+                        np.concatenate([self.test_seen_idx,
+                                        self.test_unseen_idx]))
+        for name, allowed in (("train_idx", self.seen_classes),
+                              ("test_seen_idx", self.seen_classes),
+                              ("test_unseen_idx", self.unseen_classes)):
+            idx = getattr(self, name)
+            _reject(name, idx, ~np.isin(self.labels[idx], allowed),
+                    "has a class outside its allowed set")
 
 
 def save_dataset(ds, path):
     ds.validate()
     os.makedirs(path, exist_ok=True)
-    meta = {
-        "format_version": FORMAT_VERSION,
-        "n_samples": int(ds.n_samples),
-        "visual_dim": int(ds.visual_dim),
-        "attr_dim": int(ds.attr_dim),
-        "n_classes": int(ds.n_classes),
-        "seen_classes": [int(c) for c in ds.seen_classes],
-        "unseen_classes": [int(c) for c in ds.unseen_classes],
-        "train_idx": [int(i) for i in ds.train_idx],
-        "test_seen_idx": [int(i) for i in ds.test_seen_idx],
-        "test_unseen_idx": [int(i) for i in ds.test_unseen_idx],
-    }
+    meta = {"format_version": FORMAT_VERSION,
+            **{k: int(getattr(ds, k)) for k in DIM_FIELDS},
+            **{k: np.asarray(getattr(ds, k), dtype=np.int64).tolist()
+               for k in INDEX_FIELDS}}
     with open(os.path.join(path, "meta.json"), "w", encoding="utf-8") as f:
         json.dump(meta, f, sort_keys=True)
     ds.features.astype("<f4").tofile(os.path.join(path, "features.bin"))
@@ -119,25 +116,25 @@ def save_dataset(ds, path):
 
 
 def load_dataset(path):
-    meta_path = os.path.join(path, "meta.json")
     for fname in ("meta.json", "features.bin", "attributes.bin", "labels.bin"):
         if not os.path.exists(os.path.join(path, fname)):
             raise FileNotFoundError(f"dataset file missing: {fname}")
-    with open(meta_path, encoding="utf-8") as f:
+    with open(os.path.join(path, "meta.json"), encoding="utf-8") as f:
         try:
             meta = json.load(f)
         except json.JSONDecodeError as e:
             raise ValueError(f"meta.json is not valid JSON: {e}") from e
     if meta.get("format_version") != FORMAT_VERSION:
         raise ValueError("unsupported dataset format_version")
-    required = ("n_samples", "visual_dim", "attr_dim", "n_classes",
-                "seen_classes", "unseen_classes", "train_idx",
-                "test_seen_idx", "test_unseen_idx")
-    for key in required:
+    for key in DIM_FIELDS + INDEX_FIELDS:
         if key not in meta:
             raise ValueError(f"meta.json missing field '{key}'")
-    n, vd = int(meta["n_samples"]), int(meta["visual_dim"])
-    nc, ad = int(meta["n_classes"]), int(meta["attr_dim"])
+        values = meta[key] if key in INDEX_FIELDS else [meta[key]]
+        # a JSON bool, float or string is no integer, and is not coerced
+        if not (isinstance(values, list)
+                and all(type(v) is int for v in values)):
+            raise ValueError(f"meta.json field '{key}' must be JSON integers")
+    n, vd, ad, nc = (meta[k] for k in DIM_FIELDS)
 
     def read_bin(fname, dtype, expect_count, shape):
         arr = np.fromfile(os.path.join(path, fname), dtype=dtype)
@@ -150,12 +147,7 @@ def load_dataset(path):
         features=read_bin("features.bin", "<f4", n * vd, (n, vd)),
         attributes=read_bin("attributes.bin", "<f4", nc * ad, (nc, ad)),
         labels=read_bin("labels.bin", "<u4", n, (n,)),
-        seen_classes=np.asarray(meta["seen_classes"], dtype=np.int64),
-        unseen_classes=np.asarray(meta["unseen_classes"], dtype=np.int64),
-        train_idx=np.asarray(meta["train_idx"], dtype=np.int64),
-        test_seen_idx=np.asarray(meta["test_seen_idx"], dtype=np.int64),
-        test_unseen_idx=np.asarray(meta["test_unseen_idx"], dtype=np.int64),
-    )
+        **{k: np.asarray(meta[k], dtype=np.int64) for k in INDEX_FIELDS})
     ds.validate()
     return ds
 
@@ -188,6 +180,8 @@ class SynthConfig:
                      "attr_dim", "proto_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"synth field '{name}' must be >= 1")
+        if self.seed < 0:
+            raise ValueError("synth field 'seed' must be >= 0")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
 
@@ -229,29 +223,25 @@ def synth_generate(cfg):
             cfg.n_classes, cfg.proto_dim, dtype=np.float64) * cfg.attr_noise
     attributes = _MAPS[cfg.attr_map](attr_latents @ wb + bb).astype(np.float32)
 
-    seen = np.arange(cfg.n_seen)
-    unseen = np.arange(cfg.n_seen, cfg.n_classes)
-    train_idx, test_seen_idx, test_unseen_idx = [], [], []
+    splits = {name: [] for name in INDEX_FIELDS[2:]}
     n_train = int(round(cfg.train_fraction * cfg.samples_per_class))
     for c in range(cfg.n_classes):
         idx = np.where(labels == c)[0]
         idx = idx[r_split.permutation(len(idx))]
         if c < cfg.n_seen:
-            train_idx.extend(idx[:n_train])
-            test_seen_idx.extend(idx[n_train:])
+            splits["train_idx"].extend(idx[:n_train])
+            splits["test_seen_idx"].extend(idx[n_train:])
         else:
-            test_unseen_idx.extend(idx)
+            splits["test_unseen_idx"].extend(idx)
 
     ds = ZslDataset(
         features=features,
         attributes=attributes,
         labels=labels.astype(np.uint32),
-        seen_classes=seen,
-        unseen_classes=unseen,
-        train_idx=np.sort(np.asarray(train_idx, dtype=np.int64)),
-        test_seen_idx=np.sort(np.asarray(test_seen_idx, dtype=np.int64)),
-        test_unseen_idx=np.sort(np.asarray(test_unseen_idx, dtype=np.int64)),
-    )
+        seen_classes=np.arange(cfg.n_seen),
+        unseen_classes=np.arange(cfg.n_seen, cfg.n_classes),
+        **{k: np.sort(np.asarray(v, dtype=np.int64))
+           for k, v in splits.items()})
     ds.validate()
     return ds
 
@@ -277,11 +267,6 @@ class Batch:
     unseen_attrs: np.ndarray  # attribute block of (a subset of) unseen classes
 
 
-def seen_label_mapping(ds):
-    """class id -> contiguous index over seen classes (sorted order)."""
-    return {int(c): i for i, c in enumerate(np.sort(ds.seen_classes))}
-
-
 def batch_iter(ds, batch_size, rng):
     """Shuffled mini-batches over the train split; the final short batch is
     included; every batch carries the unseen attribute block."""
@@ -289,7 +274,7 @@ def batch_iter(ds, batch_size, rng):
         raise ValueError("batch_size must be >= 1")
     if len(ds.train_idx) == 0:
         raise ValueError("empty training split")
-    mapping = seen_label_mapping(ds)
+    seen_sorted = np.sort(ds.seen_classes)
     order = ds.train_idx[rng.permutation(len(ds.train_idx))]
     unseen_sorted = np.sort(ds.unseen_classes)
     for start in range(0, len(order), batch_size):
@@ -304,6 +289,6 @@ def batch_iter(ds, batch_size, rng):
         yield Batch(
             x=ds.features[idx],
             a=ds.attributes[labels],
-            y=np.asarray([mapping[int(c)] for c in labels], dtype=np.int64),
+            y=np.searchsorted(seen_sorted, labels),
             unseen_attrs=ds.attributes[u_classes],
         )

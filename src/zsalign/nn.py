@@ -18,14 +18,6 @@ class Linear:
                         requires_grad=True)
         self.b = Tensor(np.zeros((1, out_dim), dtype=dtype), requires_grad=True)
 
-    @property
-    def in_dim(self):
-        return self.w.shape[0]
-
-    @property
-    def out_dim(self):
-        return self.w.shape[1]
-
     def __call__(self, x):
         return x @ self.w + self.b
 
@@ -48,18 +40,14 @@ class Mlp:
 
     @property
     def in_dim(self):
-        return self.layers[0].in_dim
-
-    @property
-    def out_dim(self):
-        return self.layers[-1].out_dim
+        return self.layers[0].w.shape[0]
 
     def __call__(self, x):
         x = as_tensor(x)
         if x.shape[1] != self.in_dim:
             raise ValueError(
                 f"input has {x.shape[1]} columns, layer expects {self.in_dim}")
-        if not isinstance(x, Tensor) or x._parents == ():
+        if x._parents == ():
             check_finite(x.data, "mlp input")
         for layer, act in zip(self.layers, self.activations):
             x = layer(x)

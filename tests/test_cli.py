@@ -204,6 +204,25 @@ def test_invalid_top_level_config_exits_1(tmp_path, capsys, monkeypatch,
     assert fits == []
 
 
+@pytest.mark.parametrize("verb,flags,extra,key", [
+    ("train", [], {"seed": -1}, "seed"),
+    ("train", ["--seed", "-2"], {}, "seed"),
+    ("train", [], {"synth": dict(SMALL_SYNTH, seed=-3)}, "seed"),
+    ("ablate", [], {"seeds": [-1]}, "seeds"),
+])
+def test_negative_seed_exits_1(tmp_path, capsys, monkeypatch, verb, flags,
+                               extra, key):
+    import zsalign.cli
+    fits = []
+    monkeypatch.setattr(zsalign.cli, "fit",
+                        lambda *args, **kwargs: fits.append(args))
+    cfg = write_cfg(tmp_path, **extra)
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "run")]
+                + flags) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+    assert fits == []
+
+
 def test_load_config_accepts_every_top_level_key(tmp_path):
     from zsalign.cli import TOP_LEVEL, load_config
     cfg = {"synth": {}, "model": {}, "schedule": {}, "ablation": {},

@@ -1,11 +1,14 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from zsalign import (Rng, SynthConfig, ZslDataset, batch_iter, load_dataset,
-                     minmax_features, save_dataset, synth_generate)
-from zsalign.data import seen_label_mapping
+from zsalign import (Rng, SynthConfig, ZslDataset, batch_iter, check_finite,
+                     load_dataset, minmax_features, save_dataset,
+                     synth_generate)
+from zsalign.data import INDEX_FIELDS
 
 
 def small_cfg(**kw):
@@ -133,6 +136,18 @@ def test_load_detects_mutations(tmp_path):
     def unseen_into_train(m):
         m["train_idx"].append(m["test_unseen_idx"].pop(0))
     mutate(unseen_into_train, "outside its allowed set")
+    # a repeated entry in a class set or a split
+    mutate(lambda m: m["seen_classes"].append(m["seen_classes"][0]),
+           r"seen_classes\[4\] = 0 repeats an earlier entry")
+    mutate(lambda m: m["train_idx"].append(m["train_idx"][0]),
+           r"train_idx\[64\] = \d+ repeats an earlier entry")
+    # meta values that are no JSON integer are not coerced
+    mutate(lambda m: m["train_idx"].__setitem__(0, 0.5),
+           "field 'train_idx' must be JSON integers")
+    mutate(lambda m: m["seen_classes"].__setitem__(1, True),
+           "field 'seen_classes' must be JSON integers")
+    mutate(lambda m: m.update(n_samples=float(m["n_samples"])),
+           "field 'n_samples' must be JSON integers")
 
     # shortened binary payload
     blob = (root / "features.bin").read_bytes()
@@ -154,6 +169,150 @@ def test_validate_rejects_label_out_of_range():
     ds.labels[3] = 77
     with pytest.raises(ValueError, match="labels\\[3\\]"):
         ds.validate()
+
+
+def test_load_accepts_empty_index_list(tmp_path):
+    ds = synth_generate(small_cfg())
+    ds.test_seen_idx = ds.test_seen_idx[:0]
+    save_dataset(ds, tmp_path / "ds")
+    assert load_dataset(tmp_path / "ds").test_seen_idx.shape == (0,)
+
+
+# ---- whole-array validation against the per-element loops it replaced -----
+
+def loop_validate(ds):
+    """The per-element `ZslDataset.validate` that the whole-array rules
+    replaced, kept with `self` as `ds` as the reference. It has no repeat
+    check."""
+    if ds.features.shape[0] != ds.labels.shape[0]:
+        raise ValueError("features and labels disagree on sample count")
+    check_finite(ds.features, "features")
+    check_finite(ds.attributes, "attributes")
+    seen = set(int(c) for c in ds.seen_classes)
+    unseen = set(int(c) for c in ds.unseen_classes)
+    if seen & unseen:
+        raise ValueError(
+            f"seen/unseen classes overlap: {sorted(seen & unseen)}")
+    for name, arr in (("seen_classes", ds.seen_classes),
+                      ("unseen_classes", ds.unseen_classes)):
+        for c in arr:
+            if not 0 <= int(c) < ds.n_classes:
+                raise ValueError(f"{name} entry {int(c)} out of range "
+                                 f"[0, {ds.n_classes})")
+    for i, y in enumerate(ds.labels):
+        if not 0 <= int(y) < ds.n_classes:
+            raise ValueError(
+                f"labels[{i}] = {int(y)} out of range [0, {ds.n_classes})")
+    referenced = set(int(y) for y in ds.labels)
+    if not referenced <= (seen | unseen):
+        raise ValueError("labels reference classes outside seen+unseen: "
+                         f"{sorted(referenced - seen - unseen)}")
+    for name, idx in (("train_idx", ds.train_idx),
+                      ("test_seen_idx", ds.test_seen_idx),
+                      ("test_unseen_idx", ds.test_unseen_idx)):
+        for i in idx:
+            if not 0 <= int(i) < ds.n_samples:
+                raise ValueError(
+                    f"{name} entry {int(i)} out of range [0, {ds.n_samples})")
+    train = set(int(i) for i in ds.train_idx)
+    test = set(int(i) for i in ds.test_seen_idx) | \
+        set(int(i) for i in ds.test_unseen_idx)
+    if train & test:
+        raise ValueError(
+            f"train/test split overlap at samples {sorted(train & test)[:5]}")
+    for name, idx, allowed in (
+            ("train_idx", ds.train_idx, seen),
+            ("test_seen_idx", ds.test_seen_idx, seen),
+            ("test_unseen_idx", ds.test_unseen_idx, unseen)):
+        for i in idx:
+            if int(ds.labels[int(i)]) not in allowed:
+                raise ValueError(
+                    f"{name} sample {int(i)} has class "
+                    f"{int(ds.labels[int(i)])} outside its allowed set")
+
+
+def first_failure(check, ds):
+    """(field, rule) of the invariant `check(ds)` rejects, or None."""
+    try:
+        check(ds)
+    except ValueError as e:
+        msg = str(e)
+        rule = next(r for r in ("out of range", "overlap", "outside",
+                                "repeats") if r in msg)
+        return re.match(r"[\w/]+", msg).group(0), rule
+    return None
+
+
+INT_ARRAYS = ("labels",) + INDEX_FIELDS
+
+
+def fuzz_base():
+    """A valid dataset with one spare class that no set holds and no sample
+    has, so that a mutation can also reference a class outside both sets,
+    and with int64 labels, so that a label can be set to -1."""
+    ds = synth_generate(small_cfg())
+    return replace(ds, attributes=np.vstack([ds.attributes,
+                                             ds.attributes[:1] + 1.0]),
+                   labels=ds.labels.astype(np.int64))
+
+
+def mutate_one(ds, rng):
+    """`ds` with one entry of one integer array set to -1, to the array's
+    bound n, to a value from another class set or split of the same kind
+    (for classes, the spare class too), or to a value from the same array."""
+    name = INT_ARRAYS[rng.integers(len(INT_ARRAYS))]
+    arr = getattr(ds, name).copy()
+    if name.endswith("idx"):
+        n, kin, spare = ds.n_samples, INDEX_FIELDS[2:], []
+    else:
+        n, kin = ds.n_classes, ("labels", "seen_classes", "unseen_classes")
+        spare = [np.array([ds.n_classes - 1])]
+    pick = rng.integers(4)
+    if pick == 0:
+        value = -1
+    elif pick == 1:
+        value = n
+    else:
+        pools = ([getattr(ds, k) for k in kin if k != name] + spare
+                 if pick == 2 else [arr])
+        pool = pools[rng.integers(len(pools))]
+        value = pool[rng.integers(len(pool))]
+    arr[rng.integers(len(arr))] = value
+    return replace(ds, **{name: arr})
+
+
+@pytest.mark.parametrize("n_faults", [1, 2])
+def test_validate_matches_loop_oracle_on_mutations(n_faults):
+    base = fuzz_base()
+    base.validate()
+    loop_validate(base)
+    rng = np.random.default_rng(n_faults)
+    fired, repeats_loop_accepts = set(), 0
+    for case in range(400):
+        ds = base
+        for _ in range(n_faults):
+            ds = mutate_one(ds, rng)
+        repeated = [k for k in INDEX_FIELDS
+                    if len(np.unique(getattr(ds, k))) < len(getattr(ds, k))]
+        old, new = first_failure(loop_validate, ds), first_failure(
+            ZslDataset.validate, ds)
+        # the loop version has no repeat check; it may still reject a repeat
+        # through another check (a repeated seen class drops another class)
+        if repeated:
+            assert new == (repeated[0], "repeats"), (case, old, new)
+            repeats_loop_accepts += old is None
+        else:
+            assert new == old, (case, old, new)
+            fired.add(old)
+    # every check of the loop version fired on some mutation
+    assert fired >= {
+        None, ("seen/unseen", "overlap"), ("seen_classes", "out of range"),
+        ("unseen_classes", "out of range"), ("labels", "out of range"),
+        ("labels", "outside"), ("train_idx", "out of range"),
+        ("test_seen_idx", "out of range"), ("test_unseen_idx", "out of range"),
+        ("train/test", "overlap"), ("train_idx", "outside"),
+        ("test_seen_idx", "outside"), ("test_unseen_idx", "outside")}
+    assert repeats_loop_accepts > 0
 
 
 def test_minmax_scaling():
@@ -189,12 +348,12 @@ def test_batches_partition_training_split():
 
 def test_batch_rows_pair_feature_label_attribute():
     ds = synth_generate(small_cfg())
-    inverse = {i: c for c, i in seen_label_mapping(ds).items()}
+    seen_sorted = np.sort(ds.seen_classes)
     feat_to_label = {ds.features[i].tobytes(): int(ds.labels[i])
                      for i in ds.train_idx}
     for batch in batch_iter(ds, 8, Rng(1)):
         for r in range(batch.x.shape[0]):
-            c = inverse[int(batch.y[r])]
+            c = int(seen_sorted[batch.y[r]])
             assert feat_to_label[batch.x[r].tobytes()] == c
             assert np.array_equal(batch.a[r], ds.attributes[c])
         assert np.array_equal(batch.unseen_attrs,
@@ -204,6 +363,7 @@ def test_batch_rows_pair_feature_label_attribute():
 def test_batch_labels_contiguous():
     ds = synth_generate(small_cfg())
     for batch in batch_iter(ds, 16, Rng(2)):
+        assert batch.y.dtype == np.int64
         assert batch.y.min() >= 0
         assert batch.y.max() < len(ds.seen_classes)
 
