@@ -17,10 +17,11 @@ import numpy as np
 from . import __version__
 from .data import (SynthConfig, load_dataset, minmax_features, save_dataset,
                    synth_generate)
-from .evaluation import (CZSL_DEFAULT_COUNTS, GZSL_DEFAULT_COUNTS, EvalCounts,
-                         czsl_eval, encode_test_features, gzsl_eval)
+from .evaluation import (EvalConfig, EvalCounts, czsl_eval,
+                         encode_test_features, gzsl_eval)
 from .gradcheck import run_gradcheck
-from .model import Architecture, Model, load_checkpoint, save_checkpoint
+from .model import (Architecture, Model, check_fits_dataset, dataset_dims,
+                    load_checkpoint, save_checkpoint)
 from .rng import Rng
 from .tensor import check_type
 from .training import (AblationFlags, TrainSchedule, TrainingDivergence, fit,
@@ -124,30 +125,15 @@ def write_manifest(out, cfg, seed):
 
 
 def build_model(cfg, ds, seed):
-    arch = _take(cfg, "model", Architecture, visual_dim=ds.visual_dim,
-                 attr_dim=ds.attr_dim, n_seen_classes=len(ds.seen_classes))
+    arch = _take(cfg, "model", Architecture, **dataset_dims(ds))
     return Model(arch, Rng(seed).spawn(1)[0])
 
 
-EVAL_DEFAULTS = {"czsl_unseen": CZSL_DEFAULT_COUNTS.unseen,
-                 "gzsl_unseen": GZSL_DEFAULT_COUNTS.unseen,
-                 "gzsl_seen": GZSL_DEFAULT_COUNTS.seen, "use_mean": False}
-
-
 def _eval_counts(cfg):
-    ev = {**EVAL_DEFAULTS, **_section(cfg, "eval", EVAL_DEFAULTS)}
-    try:
-        for name, default in EVAL_DEFAULTS.items():
-            check_type(name, ev[name], type(default))
-    except TypeError as e:
-        raise ConfigError(f"invalid 'eval': {e}") from e
-    for name in ("czsl_unseen", "gzsl_unseen", "gzsl_seen"):
-        if ev[name] < 1:
-            raise ConfigError(f"invalid 'eval': '{name}' must be >= 1, "
-                              f"got {ev[name]!r}")
-    czsl = EvalCounts(unseen=ev["czsl_unseen"], seen=0)
-    gzsl = EvalCounts(unseen=ev["gzsl_unseen"], seen=ev["gzsl_seen"])
-    return czsl, gzsl, ev["use_mean"]
+    ev = _take(cfg, "eval", EvalConfig)
+    czsl = EvalCounts(unseen=ev.czsl_unseen, seen=0)
+    gzsl = EvalCounts(unseen=ev.gzsl_unseen, seen=ev.gzsl_seen)
+    return czsl, gzsl, ev.use_mean
 
 
 # ---- commands ------------------------------------------------------------
@@ -191,14 +177,10 @@ def cmd_eval(cfg, seed, out, checkpoint):
     os.makedirs(out, exist_ok=True)
     ds = resolve_dataset(cfg, seed)
     model = load_checkpoint(checkpoint)
-    if model.arch.visual_dim != ds.visual_dim:
-        raise ConfigError(
-            f"checkpoint visual_dim {model.arch.visual_dim} does not match "
-            f"dataset visual_dim {ds.visual_dim}")
-    if model.arch.attr_dim != ds.attr_dim:
-        raise ConfigError(
-            f"checkpoint attr_dim {model.arch.attr_dim} does not match "
-            f"dataset attr_dim {ds.attr_dim}")
+    try:
+        check_fits_dataset(model.arch, ds)
+    except ValueError as e:
+        raise ConfigError(f"checkpoint does not fit the dataset: {e}") from e
     czsl_counts, gzsl_counts, use_mean = _eval_counts(cfg)
     rng = Rng(seed)
     r_czsl, r_gzsl, r_dump = rng.spawn(3)

@@ -124,16 +124,20 @@ def load_dataset(path):
             meta = json.load(f)
         except json.JSONDecodeError as e:
             raise ValueError(f"meta.json is not valid JSON: {e}") from e
-    if meta.get("format_version") != FORMAT_VERSION:
-        raise ValueError("unsupported dataset format_version")
+    if not isinstance(meta, dict):
+        raise ValueError("meta.json root must be a JSON object")
+    version = meta.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(f"unsupported dataset format_version {version!r}")
     for key in DIM_FIELDS + INDEX_FIELDS:
         if key not in meta:
             raise ValueError(f"meta.json missing field '{key}'")
         values = meta[key] if key in INDEX_FIELDS else [meta[key]]
         # a JSON bool, float or string is no integer, and is not coerced
-        if not (isinstance(values, list)
-                and all(type(v) is int for v in values)):
-            raise ValueError(f"meta.json field '{key}' must be JSON integers")
+        if not (isinstance(values, list) and all(
+                type(v) is int and -2**63 <= v < 2**63 for v in values)):
+            raise ValueError(
+                f"meta.json field '{key}' must be JSON integers in int64")
     n, vd, ad, nc = (meta[k] for k in DIM_FIELDS)
 
     def read_bin(fname, dtype, expect_count, shape):

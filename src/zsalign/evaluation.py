@@ -15,7 +15,7 @@ from .losses import softmax_cross_entropy_grad
 from .losses import softmax_cross_entropy  # noqa: F401
 from .nn import Linear
 from .optim import Adam
-from .tensor import Tensor, check_finite
+from .tensor import Tensor, check_fields, check_finite
 
 @dataclass
 class EvalCounts:
@@ -25,6 +25,22 @@ class EvalCounts:
 
 GZSL_DEFAULT_COUNTS = EvalCounts(unseen=400, seen=200)
 CZSL_DEFAULT_COUNTS = EvalCounts(unseen=200, seen=0)
+
+
+@dataclass
+class EvalConfig:
+    """The `eval` config section."""
+    czsl_unseen: int = CZSL_DEFAULT_COUNTS.unseen
+    gzsl_unseen: int = GZSL_DEFAULT_COUNTS.unseen
+    gzsl_seen: int = GZSL_DEFAULT_COUNTS.seen
+    use_mean: bool = False
+
+    def validate(self):
+        check_fields(self)
+        for name in ("czsl_unseen", "gzsl_unseen", "gzsl_seen"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"'{name}' must be >= 1, "
+                                 f"got {getattr(self, name)!r}")
 
 
 def _gaussian_of_attrs(model, attrs):

@@ -33,44 +33,53 @@ class Architecture:
                                  f"got {value!r}")
 
 
-# group names, fixed order (also the checkpoint manifest order)
-GROUPS = ("enc_visual", "enc_semantic", "enc_common_trunk", "enc_common_mu",
-          "enc_common_logvar", "dec_visual", "dec_semantic", "cls1", "cls2")
+# each group's layer widths, as Architecture fields, and its activations;
+# the order is that of the init streams and of the checkpoint manifest
+LAYOUT = {
+    "enc_visual": (("visual_dim", "structure_dim"), ("relu",)),
+    "enc_semantic": (("attr_dim", "structure_dim"), ("relu",)),
+    "enc_common_trunk": (("structure_dim", "common_hidden"), ("relu",)),
+    "enc_common_mu": (("common_hidden", "latent_dim"), ("identity",)),
+    "enc_common_logvar": (("common_hidden", "latent_dim"), ("identity",)),
+    "dec_visual": (("latent_dim", "dec_visual_hidden", "visual_dim"),
+                   ("relu", "identity")),
+    "dec_semantic": (("latent_dim", "dec_semantic_hidden", "attr_dim"),
+                     ("relu", "identity")),
+    "cls1": (("structure_dim", "n_seen_classes"), ("identity",)),
+    "cls2": (("structure_dim", "n_seen_classes"), ("identity",)),
+}
+GROUPS = tuple(LAYOUT)
+
+
+def dataset_dims(ds):
+    """The Architecture fields that the dataset `ds` fixes."""
+    return {"visual_dim": ds.visual_dim, "attr_dim": ds.attr_dim,
+            "n_seen_classes": len(ds.seen_classes)}
+
+
+def check_fits_dataset(arch, ds):
+    """Raise ValueError naming the first field of `dataset_dims` on which
+    `arch` and the dataset `ds` disagree."""
+    for name, value in dataset_dims(ds).items():
+        if getattr(arch, name) != value:
+            raise ValueError(f"model {name} {getattr(arch, name)} != "
+                             f"dataset {name} {value}")
 
 
 class Model:
     def __init__(self, arch, rng, dtype=np.float32):
+        """With `rng` None every weight starts at zero, for a caller that
+        overwrites them all (the checkpoint loader)."""
         arch.validate()
         self.arch = arch
         self.dtype = dtype
-        a = arch
-        streams = rng.spawn(len(GROUPS))
-        init = dict(zip(GROUPS, streams))
-        self.enc_visual = Mlp([a.visual_dim, a.structure_dim], ["relu"],
-                              init["enc_visual"], dtype)
-        self.enc_semantic = Mlp([a.attr_dim, a.structure_dim], ["relu"],
-                                init["enc_semantic"], dtype)
-        self.enc_common_trunk = Mlp([a.structure_dim, a.common_hidden],
-                                    ["relu"], init["enc_common_trunk"], dtype)
-        self.enc_common_mu = Mlp([a.common_hidden, a.latent_dim], ["identity"],
-                                 init["enc_common_mu"], dtype)
-        self.enc_common_logvar = Mlp([a.common_hidden, a.latent_dim],
-                                     ["identity"], init["enc_common_logvar"],
-                                     dtype)
-        self.dec_visual = Mlp([a.latent_dim, a.dec_visual_hidden, a.visual_dim],
-                              ["relu", "identity"], init["dec_visual"], dtype)
-        self.dec_semantic = Mlp(
-            [a.latent_dim, a.dec_semantic_hidden, a.attr_dim],
-            ["relu", "identity"], init["dec_semantic"], dtype)
-        self.cls1 = Mlp([a.structure_dim, a.n_seen_classes], ["identity"],
-                        init["cls1"], dtype)
-        self.cls2 = Mlp([a.structure_dim, a.n_seen_classes], ["identity"],
-                        init["cls2"], dtype)
+        streams = (rng.spawn(len(LAYOUT)) if rng is not None
+                   else [None] * len(LAYOUT))
+        for (name, (widths, acts)), stream in zip(LAYOUT.items(), streams):
+            setattr(self, name, Mlp([getattr(arch, w) for w in widths], acts,
+                                    stream, dtype))
 
     # ---- parameter bookkeeping ------------------------------------------
-
-    def groups(self):
-        return {name: getattr(self, name) for name in GROUPS}
 
     def group_params(self, names):
         return [p for name in names for p in getattr(self, name).params()]
@@ -105,17 +114,6 @@ class Model:
     def reparameterize(self, g, rng):
         noise = rng.standard_normal(*g.mu.shape, dtype=self.dtype)
         return g.mu + (g.logvar * 0.5).exp() * Tensor(noise)
-
-    def decode_visual(self, z):
-        return self.dec_visual(z)
-
-    def decode_semantic(self, z):
-        return self.dec_semantic(z)
-
-    def classify(self, which, s):
-        if which not in (1, 2):
-            raise ValueError("classifier selector must be 1 or 2")
-        return (self.cls1 if which == 1 else self.cls2)(s)
 
 
 # ---- checkpoint container -----------------------------------------------
@@ -153,10 +151,7 @@ def save_checkpoint(model, path):
                 p.data.astype("<f4", copy=False)).tobytes())
 
 
-def load_checkpoint(path, rng=None):
-    from .rng import Rng
-    if rng is None:
-        rng = Rng(0)
+def load_checkpoint(path):
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 8:
@@ -168,7 +163,7 @@ def load_checkpoint(path, rng=None):
     if header.get("format_version") != MAGIC_VERSION:
         raise ValueError("unsupported checkpoint format version")
     arch = Architecture(**header["architecture"])
-    model = Model(arch, rng)
+    model = Model(arch, None)
     named = _named_params(model)
     manifest = header["params"]
     if [n for n, _ in named] != [e["name"] for e in manifest]:

@@ -14,8 +14,10 @@ def glorot_uniform(fan_in, fan_out, rng, dtype=np.float32):
 
 class Linear:
     def __init__(self, in_dim, out_dim, rng, dtype=np.float32):
-        self.w = Tensor(glorot_uniform(in_dim, out_dim, rng, dtype),
-                        requires_grad=True)
+        """Glorot-uniform weights drawn from `rng`, or zeros if it is None."""
+        w = (glorot_uniform(in_dim, out_dim, rng, dtype) if rng is not None
+             else np.zeros((in_dim, out_dim), dtype=dtype))
+        self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(np.zeros((1, out_dim), dtype=dtype), requires_grad=True)
 
     def __call__(self, x):

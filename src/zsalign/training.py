@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import losses
-from .model import GROUPS
+from .model import GROUPS, check_fits_dataset
 from .optim import Adam
 from .tensor import Tensor, check_fields, softmax
 
@@ -128,19 +128,19 @@ def _term(name, t):
 
 def classification_loss(model, sx, sa, y):
     """Cross-entropy of both classifiers on both structure embeddings."""
-    cls = None
+    total = None
     for s in (sx, sa):
-        for which in (1, 2):
-            term = losses.softmax_cross_entropy(model.classify(which, s), y)
-            cls = term if cls is None else cls + term
-    return cls
+        for classifier in (model.cls1, model.cls2):
+            term = losses.softmax_cross_entropy(classifier(s), y)
+            total = term if total is None else total + term
+    return total
 
 
 def swd(model, s, dirs):
     """Sliced Wasserstein discrepancy between the two classifiers'
     predictions on the structure embedding `s`."""
-    p1 = softmax(model.classify(1, s))
-    p2 = softmax(model.classify(2, s))
+    p1 = softmax(model.cls1(s))
+    p2 = softmax(model.cls2(s))
     return losses.sliced_wasserstein_discrepancy(p1, p2, dirs)
 
 
@@ -157,12 +157,12 @@ def joint_terms(model, batch, gamma, rng, with_icoral=True):
     zx = model.reparameterize(gx, rng)
     za = model.reparameterize(ga, rng)
     terms = {
-        "vae_x": losses.l1_reconstruction(x, model.decode_visual(zx)) +
+        "vae_x": losses.l1_reconstruction(x, model.dec_visual(zx)) +
         gamma * losses.kl_to_standard_normal(gx),
-        "vae_a": losses.l1_reconstruction(a, model.decode_semantic(za)) +
+        "vae_a": losses.l1_reconstruction(a, model.dec_semantic(za)) +
         gamma * losses.kl_to_standard_normal(ga),
-        "rec_x": losses.l1_reconstruction(x, model.decode_visual(za)),
-        "rec_a": losses.l1_reconstruction(a, model.decode_semantic(zx)),
+        "rec_x": losses.l1_reconstruction(x, model.dec_visual(za)),
+        "rec_a": losses.l1_reconstruction(a, model.dec_semantic(zx)),
         "cls": classification_loss(model, sx, sa, batch.y),
         "da": losses.gaussian_w2(gx, ga),
     }
@@ -278,12 +278,7 @@ def train_epoch(model, ds, sched, epoch, rng, opt, flags=None):
 def fit(model, ds, sched, rng, flags=None, progress=None):
     """Run the full schedule; returns one row of mean loss terms plus the
     weights per epoch."""
-    if model.arch.visual_dim != ds.visual_dim:
-        raise ValueError(f"model visual_dim {model.arch.visual_dim} != "
-                         f"dataset visual_dim {ds.visual_dim}")
-    if model.arch.attr_dim != ds.attr_dim:
-        raise ValueError(f"model attr_dim {model.arch.attr_dim} != "
-                         f"dataset attr_dim {ds.attr_dim}")
+    check_fits_dataset(model.arch, ds)
     sched.validate()
     flags = flags or AblationFlags()
     opt = ModelOptimizer(model, sched)

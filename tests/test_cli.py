@@ -136,6 +136,24 @@ def test_exit_code_2_on_runtime_error(tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("synth,field", [
+    ({"visual_dim": 24}, "visual_dim"),
+    ({"attr_dim": 10}, "attr_dim"),
+    ({"n_seen": 3}, "n_seen_classes"),
+], ids=["visual_dim", "attr_dim", "n_seen_classes"])
+def test_eval_rejects_checkpoint_of_other_geometry(tmp_path, capsys, synth,
+                                                   field):
+    out = tmp_path / "run"
+    assert main(["train", "--config", write_cfg(tmp_path, "a.json"),
+                 "--out", str(out)]) == 0
+    cfg_b = write_cfg(tmp_path, "b.json", synth={**SMALL_SYNTH, **synth})
+    ev = tmp_path / "ev"
+    assert main(["eval", "--config", cfg_b, "--out", str(ev),
+                 "--checkpoint", str(out / "checkpoint.bin")]) == 1
+    assert field in capsys.readouterr().err
+    assert not list(ev.glob("metrics_*.json"))
+
+
 def test_train_rejects_invalid_schedule(tmp_path, capsys):
     for schedule in ({"epochs": -3}, {"inner_repeats": 0}, {"epochs": "3"}):
         cfg = write_cfg(tmp_path, schedule=schedule)

@@ -148,6 +148,21 @@ def test_load_detects_mutations(tmp_path):
            "field 'seen_classes' must be JSON integers")
     mutate(lambda m: m.update(n_samples=float(m["n_samples"])),
            "field 'n_samples' must be JSON integers")
+    # a root that is no JSON object, a format_version that is no JSON 1
+    for root_value in ([1], "meta", 1):
+        meta_path.write_text(json.dumps(root_value))
+        with pytest.raises(ValueError, match="root must be a JSON object"):
+            load_dataset(root)
+    meta_path.write_text(original)
+    mutate(lambda m: m.update(format_version=True), "format_version")
+    mutate(lambda m: m.update(format_version=1.0), "format_version")
+    # integers beyond int64, of either sign
+    mutate(lambda m: m["train_idx"].__setitem__(0, 2**70),
+           "field 'train_idx' must be JSON integers in int64")
+    mutate(lambda m: m["train_idx"].__setitem__(0, -2**70),
+           "field 'train_idx' must be JSON integers in int64")
+    mutate(lambda m: m.update(visual_dim=2**63),
+           "field 'visual_dim' must be JSON integers in int64")
 
     # shortened binary payload
     blob = (root / "features.bin").read_bytes()

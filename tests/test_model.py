@@ -4,6 +4,7 @@ import pytest
 from zsalign import (Architecture, Model, Rng, load_checkpoint,
                      save_checkpoint)
 from zsalign.evaluation import encode_test_features
+from zsalign.model import GROUPS
 
 SMALL = dict(structure_dim=8, latent_dim=4, common_hidden=6,
              dec_visual_hidden=6, dec_semantic_hidden=5)
@@ -26,16 +27,16 @@ def test_forward_shapes():
     assert g.mu.shape == (6, 4) and g.logvar.shape == (6, 4)
     zs = m.reparameterize(g, rng)
     assert zs.shape == (6, 4)
-    assert m.decode_visual(zs).shape == (6, 7)
-    assert m.decode_semantic(zs).shape == (6, 5)
-    assert m.classify(1, sx).shape == (6, 3)
-    assert m.classify(2, sa).shape == (6, 3)
+    assert m.dec_visual(zs).shape == (6, 7)
+    assert m.dec_semantic(zs).shape == (6, 5)
+    assert m.cls1(sx).shape == (6, 3)
+    assert m.cls2(sa).shape == (6, 3)
 
 
 def test_biases_start_at_zero():
     m = small_model()
-    for group in m.groups().values():
-        for layer in group.layers:
+    for name in GROUPS:
+        for layer in getattr(m, name).layers:
             assert np.array_equal(layer.b.data, np.zeros_like(layer.b.data))
 
 
@@ -76,22 +77,21 @@ def test_reparameterize_collapses_at_tiny_variance():
     assert np.max(np.abs(z - mu)) < 1e-8
 
 
-def test_classifier_selector_validated():
-    m = small_model()
-    s = m.encode_visual(Rng(0).standard_normal(2, 7))
-    with pytest.raises(ValueError):
-        m.classify(3, s)
-
-
 def test_architecture_validation():
     with pytest.raises(ValueError):
         Architecture(visual_dim=7, attr_dim=0, n_seen_classes=3).validate()
 
 
-def test_checkpoint_round_trip_bitwise(tmp_path):
+def test_checkpoint_round_trip_bitwise(tmp_path, monkeypatch):
+    import zsalign.nn
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew initial weights")
+
     m = small_model(5)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(m, path)
+    monkeypatch.setattr(zsalign.nn, "glorot_uniform", refuse)
     loaded = load_checkpoint(path)
     assert loaded.param_bytes() == m.param_bytes()
     assert loaded.arch == m.arch

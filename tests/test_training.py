@@ -297,12 +297,20 @@ def test_train_epoch_rejects_invalid_inner_repeats():
     assert model.param_bytes() == before
 
 
-def test_fit_validates_dimensions():
+@pytest.mark.parametrize("field,value", [
+    ("visual_dim", 9), ("attr_dim", 9), ("n_seen_classes", 3),
+    ("n_seen_classes", 5),
+], ids=["visual_dim", "attr_dim", "n_seen_classes3", "n_seen_classes5"])
+def test_fit_validates_dimensions(field, value):
+    # the dataset has 16-d features, 8-d attributes and 4 seen classes
     ds, _, sched = small_setup()
-    arch = Architecture(visual_dim=9, attr_dim=8, n_seen_classes=4,
-                        **SMALL_ARCH)
-    with pytest.raises(ValueError, match="visual_dim"):
-        fit(Model(arch, Rng(0)), ds, sched, Rng(0))
+    arch = Architecture(**{"visual_dim": 16, "attr_dim": 8,
+                           "n_seen_classes": 4, field: value}, **SMALL_ARCH)
+    model = Model(arch, Rng(0))
+    before = model.param_bytes()
+    with pytest.raises(ValueError, match=field):
+        fit(model, ds, sched, Rng(0))
+    assert model.param_bytes() == before
 
 
 def test_reconstruction_improves_over_training():
