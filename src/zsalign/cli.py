@@ -129,11 +129,16 @@ def build_model(cfg, ds, seed):
     return Model(arch, Rng(seed).spawn(1)[0])
 
 
-def _eval_counts(cfg):
-    ev = _take(cfg, "eval", EvalConfig)
-    czsl = EvalCounts(unseen=ev.czsl_unseen, seen=0)
-    gzsl = EvalCounts(unseen=ev.gzsl_unseen, seen=ev.gzsl_seen)
-    return czsl, gzsl, ev.use_mean
+def _evaluate(ev, model, ds, rng, seed):
+    """(CZSL report, GZSL report) of `model` under the `eval` section `ev`,
+    from the first two children of `rng`."""
+    r_czsl, r_gzsl = rng.spawn(2)
+    rep_c = czsl_eval(model, ds, EvalCounts(unseen=ev.czsl_unseen, seen=0),
+                      r_czsl, seed=seed, use_mean=ev.use_mean)
+    rep_g = gzsl_eval(model, ds,
+                      EvalCounts(unseen=ev.gzsl_unseen, seen=ev.gzsl_seen),
+                      r_gzsl, seed=seed, use_mean=ev.use_mean)
+    return rep_c, rep_g
 
 
 # ---- commands ------------------------------------------------------------
@@ -181,18 +186,16 @@ def cmd_eval(cfg, seed, out, checkpoint):
         check_fits_dataset(model.arch, ds)
     except ValueError as e:
         raise ConfigError(f"checkpoint does not fit the dataset: {e}") from e
-    czsl_counts, gzsl_counts, use_mean = _eval_counts(cfg)
     rng = Rng(seed)
-    r_czsl, r_gzsl, r_dump = rng.spawn(3)
-    rep_c = czsl_eval(model, ds, czsl_counts, r_czsl, seed=seed,
-                      use_mean=use_mean)
-    rep_g = gzsl_eval(model, ds, gzsl_counts, r_gzsl, seed=seed,
-                      use_mean=use_mean)
+    rep_c, rep_g = _evaluate(_take(cfg, "eval", EvalConfig), model, ds, rng,
+                             seed)
     for name, rep in (("metrics_czsl.json", rep_c), ("metrics_gzsl.json",
                                                      rep_g)):
         with open(os.path.join(out, name), "w", encoding="utf-8") as f:
             f.write(rep.to_json() + "\n")
-    _dump_latents(model, ds, r_dump, os.path.join(out, "latents.csv"))
+    # the third child of rng, after the two that _evaluate took
+    _dump_latents(model, ds, rng.spawn(1)[0],
+                  os.path.join(out, "latents.csv"))
     print(f"CZSL acc {rep_c.acc:.2f} | GZSL U {rep_g.u:.2f} S {rep_g.s:.2f} "
           f"H {rep_g.h:.2f}")
     print(f"reports in {out}")
@@ -233,18 +236,13 @@ ABLATION_VARIANTS = (
 def cmd_ablate(cfg, seed, out):
     os.makedirs(out, exist_ok=True)
     seeds = cfg.get("seeds", [seed + i for i in range(5)])
-    czsl_counts, gzsl_counts, use_mean = _eval_counts(cfg)
+    ev = _take(cfg, "eval", EvalConfig)
     rows = []
     for name, flags in ABLATION_VARIANTS:
         for s in seeds:
             ds = resolve_dataset(cfg, s)
             model, _ = _train_one(cfg, ds, s, flags)
-            rng = Rng(s + 1_000_003)
-            r_c, r_g = rng.spawn(2)
-            rep_c = czsl_eval(model, ds, czsl_counts, r_c, seed=s,
-                              use_mean=use_mean)
-            rep_g = gzsl_eval(model, ds, gzsl_counts, r_g, seed=s,
-                              use_mean=use_mean)
+            rep_c, rep_g = _evaluate(ev, model, ds, Rng(s + 1_000_003), s)
             rows.append((name, s, rep_g.u, rep_g.s, rep_g.h, rep_c.acc))
             print(f"{name} seed {s}: U {rep_g.u:.2f} S {rep_g.s:.2f} "
                   f"H {rep_g.h:.2f} Acc {rep_c.acc:.2f}")

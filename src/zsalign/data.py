@@ -172,20 +172,14 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self):
-        check_fields(self)
+        check_fields(self, zero_ok=("seed",))
         for name in ("visual_map", "attr_map"):
             value = getattr(self, name)
             if value not in _MAPS:
                 raise ValueError(f"synth field '{name}' must be one of "
                                  f"{sorted(_MAPS)}, got {value!r}")
-        if self.n_seen >= self.n_classes or self.n_seen < 1:
-            raise ValueError("need 1 <= n_seen < n_classes")
-        for name in ("n_classes", "samples_per_class", "visual_dim",
-                     "attr_dim", "proto_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"synth field '{name}' must be >= 1")
-        if self.seed < 0:
-            raise ValueError("synth field 'seed' must be >= 0")
+        if self.n_seen >= self.n_classes:
+            raise ValueError("need n_seen < n_classes")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
 

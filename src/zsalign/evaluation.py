@@ -6,7 +6,7 @@ then evaluated on encoded test features with per-class top-1 accuracy.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .losses import softmax_cross_entropy_grad
 from .losses import softmax_cross_entropy  # noqa: F401
 from .nn import Linear
 from .optim import Adam
+from .rng import Rng
 from .tensor import Tensor, check_fields, check_finite
 
 @dataclass
@@ -37,31 +38,32 @@ class EvalConfig:
 
     def validate(self):
         check_fields(self)
-        for name in ("czsl_unseen", "gzsl_unseen", "gzsl_seen"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"'{name}' must be >= 1, "
-                                 f"got {getattr(self, name)!r}")
 
 
-def _gaussian_of_attrs(model, attrs):
-    g = model.encode_common(model.encode_semantic(Tensor(attrs)))
-    return g.mu.data, np.exp(0.5 * g.logvar.data)
+# rows per encoder forward: with OpenBLAS 0.3.31 (Haswell) any fixed count
+# of 11 or more gave every row the bits a large forward gives it, and 64
+# pads at most 63 rows per call
+ENCODE_ROWS = 64
 
 
-def _gaussian_of_features(model, feats):
-    g = model.encode_common(model.encode_visual(Tensor(feats)))
-    return g.mu.data, np.exp(0.5 * g.logvar.data)
-
-
-def _gaussians_of_rows(model, feats, rows, batch):
-    """`_gaussian_of_features(model, feats[rows])`, encoded `batch` rows per
-    forward with the last forward padded by repeating its last row: BLAS
-    may pick its kernel, and so its rounding, by the row count."""
-    pad = -len(rows) % batch
-    padded = np.concatenate([rows, np.repeat(rows[-1:], pad)])
-    mu, std = zip(*(_gaussian_of_features(model, feats[padded[i:i + batch]])
-                    for i in range(0, len(padded), batch)))
-    return np.concatenate(mu)[:len(rows)], np.concatenate(std)[:len(rows)]
+def _gaussians(model, encode, rows):
+    """Latent mean and standard deviation of each of `rows`, encoded by
+    `encode` (`model.encode_visual` or `model.encode_semantic`) and the
+    common encoder, `ENCODE_ROWS` rows per forward with the last forward
+    padded by repeating its last row: BLAS may pick its kernel, and so its
+    rounding, by the row count, so a fixed count makes a row's bits
+    independent of the rows that share its forward."""
+    mu = np.empty((len(rows), model.arch.latent_dim), dtype=model.dtype)
+    std = np.empty_like(mu)
+    for i in range(0, len(rows), ENCODE_ROWS):
+        block = rows[i:i + ENCODE_ROWS]
+        n = len(block)
+        block = np.concatenate(
+            [block, np.repeat(block[-1:], ENCODE_ROWS - n, axis=0)])
+        g = model.encode_common(encode(Tensor(block)))
+        mu[i:i + n] = g.mu.data[:n]
+        std[i:i + n] = np.exp(0.5 * g.logvar.data[:n])
+    return mu, std
 
 
 def synthesize_latents(model, ds, counts, rng, mode):
@@ -70,8 +72,7 @@ def synthesize_latents(model, ds, counts, rng, mode):
     CZSL: `counts.unseen` reparameterized draws per unseen class from the
     attribute branch. GZSL: additionally `counts.seen` draws per seen class
     from training features sampled uniformly with replacement. Each
-    distinct sampled feature row is encoded once, in forwards of
-    `counts.seen` rows, as many as one class's draws.
+    distinct sampled feature row is encoded once.
     """
     if mode not in ("CZSL", "GZSL"):
         raise ValueError(f"unknown mode '{mode}'")
@@ -82,7 +83,8 @@ def synthesize_latents(model, ds, counts, rng, mode):
     unseen = np.sort(ds.unseen_classes)
     seen = (np.sort(ds.seen_classes) if mode == "GZSL"
             else np.empty(0, dtype=np.int64))
-    mu_u, std_u = _gaussian_of_attrs(model, ds.attributes[unseen])
+    mu_u, std_u = _gaussians(model, model.encode_semantic,
+                             ds.attributes[unseen])
     dim = mu_u.shape[1]
     n_unseen = len(unseen) * counts.unseen
     z = np.empty((n_unseen + len(seen) * counts.seen, dim), dtype=np.float32)
@@ -106,7 +108,7 @@ def synthesize_latents(model, ds, counts, rng, mode):
         picks[j] = pool[rng.integers(0, len(pool), size=counts.seen)]
         z_seen[j] = rng.standard_normal(counts.seen, dim)
     rows, inv = np.unique(picks, return_inverse=True)
-    mu, std = _gaussians_of_rows(model, ds.features, rows, counts.seen)
+    mu, std = _gaussians(model, model.encode_visual, ds.features[rows])
     for j, at in enumerate(inv.reshape(picks.shape)):
         z_seen[j] = mu[at] + std[at] * z_seen[j]
     return z, y
@@ -164,7 +166,7 @@ def train_softmax_classifier(latents, labels, rng, epochs=30, lr=1e-3,
 def encode_test_features(model, feats, rng, use_mean=False):
     """Latents for test features: one reparameterized sample each (or the
     mean when `use_mean`)."""
-    mu, std = _gaussian_of_features(model, feats)
+    mu, std = _gaussians(model, model.encode_visual, feats)
     if use_mean:
         return mu
     return mu + std * rng.standard_normal(*mu.shape)
@@ -206,17 +208,11 @@ class MetricsReport:
     counts: dict = field(default_factory=dict)
 
     def to_json(self):
-        doc = {
-            "protocol": self.protocol,
-            "acc": round(self.acc, 2),
-            "u": round(self.u, 2),
-            "s": round(self.s, 2),
-            "h": round(self.h, 2),
-            "per_class": {str(k): round(v, 2)
-                          for k, v in sorted(self.per_class.items())},
-            "seed": self.seed,
-            "counts": self.counts,
-        }
+        doc = asdict(self)
+        for key in ("acc", "u", "s", "h"):
+            doc[key] = round(doc[key], 2)
+        doc["per_class"] = {str(k): round(v, 2)
+                            for k, v in self.per_class.items()}
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -225,19 +221,31 @@ def _macro(table, classes):
     return float(np.mean(vals)) if vals else 0.0
 
 
+# the test splits each protocol scores, in the order of their streams
+TEST_SPLITS = {"CZSL": ("test_unseen_idx",),
+               "GZSL": ("test_seen_idx", "test_unseen_idx")}
+
+
+def _score(mode, model, ds, counts, rng, use_mean, classifier):
+    """One per-class accuracy table per split in `TEST_SPLITS[mode]`, of
+    `classifier`, or, if it is None, of one trained on latents synthesized
+    for `mode`."""
+    r_synth, r_train, *r_tests = rng.spawn(2 + len(TEST_SPLITS[mode]))
+    if classifier is None:
+        z, y = synthesize_latents(model, ds, counts, r_synth, mode)
+        classifier = train_softmax_classifier(z, y, r_train)
+    return [per_class_top1(classifier, model, ds, getattr(ds, split), r,
+                           use_mean)
+            for split, r in zip(TEST_SPLITS[mode], r_tests)]
+
+
 def czsl_eval(model, ds, counts=None, rng=None, seed=0, use_mean=False,
               classifier=None):
     """Classifier over unseen classes only, evaluated on the unseen test
     split."""
-    from .rng import Rng
     counts = counts or CZSL_DEFAULT_COUNTS
-    rng = rng or Rng(seed)
-    r_synth, r_train, r_test = rng.spawn(3)
-    if classifier is None:
-        z, y = synthesize_latents(model, ds, counts, r_synth, "CZSL")
-        classifier = train_softmax_classifier(z, y, r_train)
-    table = per_class_top1(classifier, model, ds, ds.test_unseen_idx, r_test,
-                           use_mean)
+    (table,) = _score("CZSL", model, ds, counts, rng or Rng(seed), use_mean,
+                      classifier)
     return MetricsReport(protocol="CZSL", acc=_macro(table, ds.unseen_classes),
                          per_class=table, seed=seed,
                          counts={"unseen": counts.unseen})
@@ -246,17 +254,9 @@ def czsl_eval(model, ds, counts=None, rng=None, seed=0, use_mean=False,
 def gzsl_eval(model, ds, counts=None, rng=None, seed=0, use_mean=False,
               classifier=None):
     """Classifier over all classes, evaluated on both test splits."""
-    from .rng import Rng
     counts = counts or GZSL_DEFAULT_COUNTS
-    rng = rng or Rng(seed)
-    r_synth, r_train, r_seen, r_unseen = rng.spawn(4)
-    if classifier is None:
-        z, y = synthesize_latents(model, ds, counts, r_synth, "GZSL")
-        classifier = train_softmax_classifier(z, y, r_train)
-    table_s = per_class_top1(classifier, model, ds, ds.test_seen_idx, r_seen,
-                             use_mean)
-    table_u = per_class_top1(classifier, model, ds, ds.test_unseen_idx,
-                             r_unseen, use_mean)
+    table_s, table_u = _score("GZSL", model, ds, counts, rng or Rng(seed),
+                              use_mean, classifier)
     u = _macro(table_u, ds.unseen_classes)
     s = _macro(table_s, ds.seen_classes)
     return MetricsReport(protocol="GZSL", u=u, s=s, h=harmonic_mean(u, s),

@@ -25,10 +25,6 @@ class GaussianParams:
         if self.mu.shape != self.logvar.shape:
             raise ValueError("mu and logvar shapes differ")
 
-    @property
-    def var(self):
-        return np.exp(self.logvar.data)
-
     @classmethod
     def from_arrays(cls, mu, var):
         mu = np.asarray(mu)

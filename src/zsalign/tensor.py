@@ -27,10 +27,15 @@ def check_type(name, value, kind):
         raise TypeError(f"'{name}' must be {kind.__name__}, got {value!r}")
 
 
-def check_fields(obj):
-    """`check_type` on each field of the dataclass `obj`, by declared type."""
+def check_fields(obj, zero_ok=()):
+    """`check_type` on each field of the dataclass `obj`, by declared type,
+    and every `int` field at least 1, or 0 if it is named in `zero_ok`."""
     for name, field in obj.__dataclass_fields__.items():
-        check_type(name, getattr(obj, name), field.type)
+        value = getattr(obj, name)
+        check_type(name, value, field.type)
+        low = 0 if name in zero_ok else 1
+        if field.type is int and value < low:
+            raise ValueError(f"'{name}' must be >= {low}, got {value!r}")
 
 
 def _unbroadcast(grad, shape):

@@ -8,9 +8,9 @@ from zsalign import (Adam, Architecture, EvalCounts, Linear, Model, Rng,
                      SynthConfig, Tensor, czsl_eval, gzsl_eval, harmonic_mean,
                      per_class_top1, softmax_cross_entropy, synth_generate,
                      synthesize_latents, train_softmax_classifier)
-from zsalign.evaluation import (CZSL_DEFAULT_COUNTS, GZSL_DEFAULT_COUNTS,
-                                LatentClassifier, MetricsReport,
-                                _gaussian_of_attrs, _gaussian_of_features)
+from zsalign.evaluation import (CZSL_DEFAULT_COUNTS, ENCODE_ROWS,
+                                GZSL_DEFAULT_COUNTS, LatentClassifier,
+                                MetricsReport, encode_test_features)
 
 SMALL_ARCH = dict(structure_dim=12, latent_dim=4, common_hidden=8,
                   dec_visual_hidden=8, dec_semantic_hidden=6)
@@ -104,12 +104,23 @@ def test_synthesis_deterministic():
     assert np.array_equal(z1, z2)
 
 
+def padded_forward(model, encode, rows):
+    """Latent mean and standard deviation of `rows`, in one forward of
+    `ENCODE_ROWS` rows padded with zeros: only the row count is fixed."""
+    assert len(rows) <= ENCODE_ROWS
+    pad = np.zeros((ENCODE_ROWS - len(rows), rows.shape[1]), rows.dtype)
+    g = model.encode_common(encode(Tensor(np.concatenate([rows, pad]))))
+    n = len(rows)
+    return g.mu.data[:n], np.exp(0.5 * g.logvar.data[:n])
+
+
 def per_draw_synthesis(model, ds, counts, rng):
-    """GZSL synthesis that encodes every draw, one forward per seen class of
-    `counts.seen` rows: the reference for `synthesize_latents`."""
-    zs, ys = [], []
+    """GZSL synthesis that encodes every draw, one forward per seen class:
+    the reference for `synthesize_latents`. Also returns the picks."""
+    zs, ys, picks = [], [], []
     unseen = np.sort(ds.unseen_classes)
-    mu_u, std_u = _gaussian_of_attrs(model, ds.attributes[unseen])
+    mu_u, std_u = padded_forward(model, model.encode_semantic,
+                                 ds.attributes[unseen])
     for i, c in enumerate(unseen):
         noise = rng.standard_normal(counts.unseen, mu_u.shape[1])
         zs.append(mu_u[i] + std_u[i] * noise)
@@ -118,11 +129,14 @@ def per_draw_synthesis(model, ds, counts, rng):
     for c in np.sort(ds.seen_classes):
         pool = ds.train_idx[train_labels == int(c)]
         pick = pool[rng.integers(0, len(pool), size=counts.seen)]
-        mu, std = _gaussian_of_features(model, ds.features[pick])
+        mu, std = padded_forward(model, model.encode_visual,
+                                 ds.features[pick])
         noise = rng.standard_normal(counts.seen, mu.shape[1])
         zs.append(mu + std * noise)
         ys.append(np.full(counts.seen, int(c), dtype=np.int64))
-    return np.concatenate(zs).astype(np.float32), np.concatenate(ys)
+        picks.append(pick)
+    return (np.concatenate(zs).astype(np.float32), np.concatenate(ys),
+            np.concatenate(picks))
 
 
 def with_train_pools(ds, sizes):
@@ -140,11 +154,11 @@ def with_train_pools(ds, sizes):
 def test_gzsl_synthesis_bitwise_matches_per_draw_encoding(monkeypatch, seen,
                                                           sizes):
     # pools smaller and larger than counts.seen; each distinct pick is
-    # encoded once, in forwards of exactly counts.seen rows
+    # encoded once, in forwards of exactly ENCODE_ROWS rows
     ds, model = small_setup()
     ds = with_train_pools(ds, sizes)
     counts = EvalCounts(unseen=9, seen=seen)
-    want_z, want_y = per_draw_synthesis(model, ds, counts, Rng(4))
+    want_z, want_y, picks = per_draw_synthesis(model, ds, counts, Rng(4))
     rows = []
     encode = Model.encode_visual
 
@@ -157,9 +171,27 @@ def test_gzsl_synthesis_bitwise_matches_per_draw_encoding(monkeypatch, seen,
     assert z.tobytes() == want_z.tobytes()
     assert y.tobytes() == want_y.tobytes()
     assert z.dtype == np.float32 and y.dtype == np.int64
-    assert set(rows) == {seen}
-    # at most one forward per class, and no more than the distinct rows need
-    assert len(rows) <= min(len(sizes), -(-sum(sizes) // seen))
+    assert set(rows) == {ENCODE_ROWS}
+    # as few forwards as the distinct picks need
+    assert len(rows) == -(-len(np.unique(picks)) // ENCODE_ROWS)
+
+
+def test_test_latents_do_not_depend_on_split_parts():
+    # a sample's latent bits are the same whether its split is encoded whole
+    # or in parts, of 1 row and of a few rows among them; an empty part
+    # gives no latents
+    ds = synth_generate(SynthConfig(seed=0))
+    arch = Architecture(visual_dim=256, attr_dim=32, n_seen_classes=15,
+                        structure_dim=128, latent_dim=64, common_hidden=64,
+                        dec_visual_hidden=64, dec_semantic_hidden=32)
+    model = Model(arch, Rng(0))
+    feats = ds.features[ds.test_unseen_idx]
+    whole = encode_test_features(model, feats, Rng(1), use_mean=True)
+    cuts = [0, 0, 1, 8, 75, 140, len(feats)]
+    parts = [encode_test_features(model, feats[a:b], Rng(1), use_mean=True)
+             for a, b in zip(cuts, cuts[1:])]
+    assert parts[0].shape == (0, 64)
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 # ---- per-class accuracy ---------------------------------------------------
@@ -295,7 +327,6 @@ def test_injected_classifier_scored_exactly():
     # and require the report to agree exactly
     ds, model = small_setup()
     idx = np.asarray(ds.test_unseen_idx)
-    from zsalign.evaluation import encode_test_features
     z = encode_test_features(model, ds.features[idx], Rng(5), use_mean=True)
     labels = ds.labels[idx].astype(np.int64)
     classes = np.unique(labels)
@@ -319,7 +350,6 @@ def test_perfect_classifier_scores_100():
     # routing predictions through the true labels
     ds, model = small_setup()
     idx = np.asarray(ds.test_unseen_idx)
-    from zsalign.evaluation import encode_test_features
     z = encode_test_features(model, ds.features[idx], Rng(5), use_mean=True)
     labels = ds.labels[idx].astype(np.int64)
 

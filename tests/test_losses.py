@@ -47,7 +47,7 @@ def test_kl_matches_monte_carlo():
     rng = Rng(0)
     g = rand_gauss(rng, 3, 4)
     got = float(kl_to_standard_normal(g).data)
-    mc = kl_monte_carlo(g.mu.data, g.var, 1_000_000, rng)
+    mc = kl_monte_carlo(g.mu.data, np.exp(g.logvar.data), 1_000_000, rng)
     assert abs(got - mc) < 1e-2
 
 

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,6 +124,32 @@ def test_checkpoint_corruption_detected(tmp_path):
     stub.write_bytes(raw[:4])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(stub)
+
+    # a header length beyond the file is caught before anything is read
+    huge = tmp_path / "huge.bin"
+    huge.write_bytes(struct.pack("<Q", 2**62) + raw[8:])
+    with pytest.raises(ValueError, match="header truncated"):
+        load_checkpoint(huge)
+
+
+def test_checkpoint_load_holds_parameters_once(tmp_path):
+    # the file's bytes go straight into the parameters, not through a copy
+    arch = Architecture(visual_dim=512, attr_dim=64, n_seen_classes=10,
+                        structure_dim=512, latent_dim=32, common_hidden=256,
+                        dec_visual_hidden=256, dec_semantic_hidden=64)
+    m = Model(arch, Rng(0))
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(m, path)
+    nbytes = len(m.param_bytes())
+    del m
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded.param_bytes()) == nbytes
+    assert peak < 1.5 * nbytes
 
 
 def test_latent_helpers_mean_vs_sample():
