@@ -26,6 +26,8 @@ class EvalCounts:
 
 GZSL_DEFAULT_COUNTS = EvalCounts(unseen=400, seen=200)
 CZSL_DEFAULT_COUNTS = EvalCounts(unseen=200, seen=0)
+# Adam learning rate and mini-batch size of the latent classifier
+CLASSIFIER_LR, CLASSIFIER_BATCH = 1e-3, 128
 
 
 @dataclass
@@ -125,8 +127,7 @@ class LatentClassifier:
         return self.class_ids[np.argmax(logits, axis=1)]
 
 
-def train_softmax_classifier(latents, labels, rng, epochs=30, lr=1e-3,
-                             batch_size=128):
+def train_softmax_classifier(latents, labels, rng, epochs=30):
     """Single affine layer + softmax, Adam on the mean cross-entropy.
 
     Each step forms the gradients of `w` and `b` directly, with the
@@ -143,12 +144,12 @@ def train_softmax_classifier(latents, labels, rng, epochs=30, lr=1e-3,
     r_init, r_shuffle = rng.spawn(2)
     layer = Linear(latents.shape[1], len(class_ids), r_init)
     w, b = layer.params()
-    opt = Adam([w, b], lr=lr)
+    opt = Adam([w, b], lr=CLASSIFIER_LR)
     n = len(latents)
     for _ in range(epochs):
         order = r_shuffle.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, n, CLASSIFIER_BATCH):
+            idx = order[start:start + CLASSIFIER_BATCH]
             x = latents[idx]
             logits = x @ w.data + b.data
             e = np.exp(logits - logits.max(axis=1, keepdims=True))

@@ -13,10 +13,18 @@ import numbers
 import numpy as np
 
 
+# central-difference step of `finite_difference_check`
+FD_STEP = 1e-5
+
+
+class NonFiniteError(ValueError):
+    """NaN or Inf where finite values are required."""
+
+
 def check_finite(arr, name):
     """Raise if `arr` contains NaN/Inf. Used at API boundaries."""
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"non-finite values in '{name}'")
+        raise NonFiniteError(f"non-finite values in '{name}'")
 
 
 def check_type(name, value, kind):
@@ -251,7 +259,7 @@ def as_tensor(x, dtype=None):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
 
 
-def finite_difference_check(loss_fn, params, step=1e-5, tamper=None):
+def finite_difference_check(loss_fn, params):
     """Compare analytic gradients of `loss_fn()` against central differences.
 
     `loss_fn` must rebuild the whole forward pass from `params` on every
@@ -259,9 +267,6 @@ def finite_difference_check(loss_fn, params, step=1e-5, tamper=None):
     Returns the normalized error over the concatenated gradient vector:
     ||g_analytic - g_numeric|| / max(||g_analytic|| + ||g_numeric||, 1e-12),
     so parameters with exactly-zero gradients do not dominate via FD noise.
-
-    `tamper`, if given, is applied to the list of analytic gradients before
-    comparison (fault-injection hook for testing the checker itself).
     """
     for p in params:
         p.grad = None
@@ -269,8 +274,6 @@ def finite_difference_check(loss_fn, params, step=1e-5, tamper=None):
     loss.backward()
     analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
                 for p in params]
-    if tamper is not None:
-        tamper(analytic)
     numeric = []
     for p in params:
         gn = np.zeros_like(p.data)
@@ -278,12 +281,12 @@ def finite_difference_check(loss_fn, params, step=1e-5, tamper=None):
         gflat = gn.ravel()
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             up = float(loss_fn().data)
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             down = float(loss_fn().data)
             flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * step)
+            gflat[i] = (up - down) / (2.0 * FD_STEP)
         numeric.append(gn)
         p.grad = None
     ga = np.concatenate([g.ravel() for g in analytic])

@@ -10,20 +10,19 @@ Per batch the loop runs:
      (classifiers frozen).
 
 The loss graph is written once, in `joint_terms`, `classification_loss`
-and `swd`. The three steps build from them, and so does the
-finite-difference suite in `gradcheck.py`, which therefore checks the
-gradients of the graph that trains.
+and `discrepancy`. The three steps build from them and descend through
+one body, `_descend`; the finite-difference suite in `gradcheck.py`
+builds from the same functions, so it checks the gradients of the graph
+that trains.
 """
 
 import math
 from dataclasses import dataclass, asdict
 
-import numpy as np
-
 from . import losses
 from .model import GROUPS, check_fits_dataset
 from .optim import Adam
-from .tensor import Tensor, check_fields, softmax
+from .tensor import NonFiniteError, Tensor, check_fields, softmax
 
 CLS_GROUPS = ("cls1", "cls2")
 ENC_GROUPS = ("enc_visual", "enc_semantic")
@@ -40,10 +39,15 @@ LOSS_TERMS = ("vae_x", "vae_a", "rec", "cls", "dis1", "dis2", "da", "icoral")
 
 
 class TrainingDivergence(RuntimeError):
-    def __init__(self, term, epoch=None, batch=None):
-        self.term, self.epoch, self.batch = term, epoch, batch
+    """A non-finite loss term, or (`term == "gradient"`) a non-finite
+    gradient after backward, in the training step of `phase`."""
+
+    def __init__(self, term, phase, epoch=None, batch=None):
+        self.term, self.phase = term, phase
+        self.epoch, self.batch = epoch, batch
+        what = "gradient" if term == "gradient" else f"loss term '{term}'"
         where = "" if epoch is None else f" at epoch {epoch}, batch {batch}"
-        super().__init__(f"non-finite loss term '{term}'{where}")
+        super().__init__(f"non-finite {what} in the {phase} step{where}")
 
 
 @dataclass
@@ -110,11 +114,19 @@ class ModelOptimizer:
         self.model.zero_grads()
 
 
-def _term(name, t):
-    v = float(t.data)
-    if not np.isfinite(v):
-        raise TrainingDivergence(name)
-    return v
+def _descend(opt, phase, terms, total):
+    """The one step body: check each of `terms` (name -> scalar tensor) and
+    then `total` for a finite value, backpropagate `total` and step the
+    partitions `phase` trains. Returns the terms' values by name."""
+    for name, t in (*terms.items(), ("total", total)):
+        if not math.isfinite(float(t.data)):
+            raise TrainingDivergence(name, phase)
+    try:
+        total.backward()
+    except NonFiniteError:
+        raise TrainingDivergence("gradient", phase) from None
+    opt.step(phase)
+    return {name: float(t.data) for name, t in terms.items()}
 
 
 # ---- the loss graph: one definition, built by the three steps and by the
@@ -136,6 +148,13 @@ def swd(model, s, dirs):
     p1 = softmax(model.cls1(s))
     p2 = softmax(model.cls2(s))
     return losses.sliced_wasserstein_discrepancy(p1, p2, dirs)
+
+
+def discrepancy(model, sx, sa, dirs):
+    """The supervised adversarial discrepancy: `swd` on the visual plus on
+    the semantic structure embedding. The classifier step maximizes it and
+    the encoder step minimizes it."""
+    return swd(model, sx, dirs) + swd(model, sa, dirs)
 
 
 def joint_terms(model, batch, gamma, rng, with_icoral=True):
@@ -172,15 +191,14 @@ def step_joint(model, batch, weights, opt, rng, with_icoral=True):
     returns the loss terms. The adversarial discrepancy terms live in the
     two dedicated steps."""
     t = joint_terms(model, batch, weights.gamma, rng, with_icoral)
-    rec = t["rec"] = t["rec_x"] + t["rec_a"]
-    terms = {name: _term(name, t[name]) if name in t else 0.0
-             for name in ("vae_x", "vae_a", "rec", "cls", "da", "icoral")}
+    t["rec"] = t["rec_x"] + t["rec_a"]
     aligned = t["icoral"] + t["da"] if with_icoral else t["da"]
-    total = t["vae_x"] + t["vae_a"] + weights.l1 * rec + t["cls"] + \
+    total = t["vae_x"] + t["vae_a"] + weights.l1 * t["rec"] + t["cls"] + \
         weights.l3 * aligned
-    _term("total", total)
-    total.backward()
-    opt.step("joint")
+    terms = _descend(opt, "joint", {
+        name: t[name] for name in ("vae_x", "vae_a", "rec", "cls", "da",
+                                   "icoral") if name in t}, total)
+    terms.setdefault("icoral", 0.0)
     return terms
 
 
@@ -192,30 +210,21 @@ def step_max_discrepancy(model, batch, weights, opt, rng, sched):
     dirs = rng.unit_directions(sched.swd_directions,
                                model.arch.n_seen_classes)
     cls = classification_loss(model, sx, sa, batch.y)
-    dis1 = -swd(model, sx, dirs) - swd(model, sa, dirs)
-    terms = {"cls": _term("cls", cls), "dis1": _term("dis1", dis1)}
-    total = cls + weights.l2 * dis1
-    _term("total", total)
-    total.backward()
-    opt.step("max")
-    return terms
+    dis1 = -discrepancy(model, sx, sa, dirs)
+    return _descend(opt, "max", {"cls": cls, "dis1": dis1},
+                    cls + weights.l2 * dis1)
 
 
 def step_min_discrepancy(model, batch, weights, opt, rng, sched):
     """`sched.inner_repeats` updates of only the two task-specific encoders
     to shrink the classifier discrepancy. Classifiers are frozen."""
-    terms = {}
     for _ in range(sched.inner_repeats):
         sx = model.encode_visual(Tensor(batch.x))
         sa = model.encode_semantic(Tensor(batch.a))
         dirs = rng.unit_directions(sched.swd_directions,
                                    model.arch.n_seen_classes)
-        dis2 = swd(model, sx, dirs) + swd(model, sa, dirs)
-        terms["dis2"] = _term("dis2", dis2)
-        total = weights.l2 * dis2
-        _term("total", total)
-        total.backward()
-        opt.step("min")
+        dis2 = discrepancy(model, sx, sa, dirs)
+        terms = _descend(opt, "min", {"dis2": dis2}, weights.l2 * dis2)
     return terms
 
 
@@ -240,51 +249,47 @@ def effective_weights(weights, flags):
 
 def train_epoch(model, ds, sched, epoch, rng, opt, flags=None):
     """One pass of shuffled mini-batches; per batch: joint step, classifier
-    discrepancy maximization, encoder discrepancy minimization."""
+    discrepancy maximization, encoder discrepancy minimization. Returns the
+    epoch's curves row: the epoch, the mean loss terms and the weights."""
     # imported at call time, so that the tracer's patched data.batch_iter
     # (bench/tracing.py) is the one called
     from .data import batch_iter
     sched.validate()
     flags = flags or AblationFlags()
     weights = effective_weights(schedule_weights(sched, epoch), flags)
-    sums = {t: 0.0 for t in LOSS_TERMS}
+    sums = dict.fromkeys(LOSS_TERMS, 0.0)
     n_batches = 0
     r_shuffle, r_step = rng.spawn(2)
     for bi, batch in enumerate(batch_iter(ds, sched.batch_size, r_shuffle)):
         try:
             terms = step_joint(model, batch, weights, opt, r_step,
                                with_icoral=not flags.disable_icoral)
-            for k, v in terms.items():
-                sums[k] = sums.get(k, 0.0) + v
             if not flags.disable_sa:
-                terms = step_max_discrepancy(model, batch, weights, opt,
-                                             r_step, sched)
-                sums["dis1"] += terms["dis1"]
-                terms = step_min_discrepancy(model, batch, weights, opt,
-                                             r_step, sched)
-                sums["dis2"] += terms["dis2"]
-            n_batches += 1
+                terms["dis1"] = step_max_discrepancy(
+                    model, batch, weights, opt, r_step, sched)["dis1"]
+                terms["dis2"] = step_min_discrepancy(
+                    model, batch, weights, opt, r_step, sched)["dis2"]
         except TrainingDivergence as e:
-            raise TrainingDivergence(e.term, epoch, bi) from None
+            raise TrainingDivergence(e.term, e.phase, epoch, bi) from None
+        for k, v in terms.items():
+            sums[k] += v
+        n_batches += 1
     if n_batches == 0:
         raise ValueError("empty training split")
-    return {t: sums[t] / n_batches for t in LOSS_TERMS}
+    return {"epoch": epoch, **{t: sums[t] / n_batches for t in LOSS_TERMS},
+            **asdict(weights)}
 
 
 def fit(model, ds, sched, rng, flags=None, progress=None):
-    """Run the full schedule; returns one row of mean loss terms plus the
-    weights per epoch."""
+    """Run the full schedule; returns one `train_epoch` row per epoch."""
     check_fits_dataset(model.arch, ds)
     sched.validate()
-    flags = flags or AblationFlags()
     opt = ModelOptimizer(model, sched)
     curves = []
     epoch_rngs = rng.spawn(max(sched.epochs, 1))
     for epoch in range(sched.epochs):
-        means = train_epoch(model, ds, sched, epoch, epoch_rngs[epoch], opt,
-                            flags)
-        w = effective_weights(schedule_weights(sched, epoch), flags)
-        row = {"epoch": epoch, **means, **asdict(w)}
+        row = train_epoch(model, ds, sched, epoch, epoch_rngs[epoch], opt,
+                          flags)
         curves.append(row)
         if progress is not None:
             progress(row)

@@ -1,9 +1,15 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+from zsalign import losses
 from zsalign.cli import main
+from zsalign.gradcheck import run_gradcheck
 
 SMALL_SYNTH = {"n_classes": 6, "n_seen": 4, "samples_per_class": 20,
                "visual_dim": 16, "attr_dim": 8, "proto_dim": 4, "seed": 0}
@@ -275,12 +281,25 @@ def test_gradcheck_command(capsys):
     assert "FAIL" not in out
 
 
-def test_gradcheck_detects_injected_fault(capsys):
-    from zsalign.gradcheck import run_gradcheck
-    results = run_gradcheck(seed=0, corrupt_term="da")
-    by_name = {name: passed for name, _, passed in results}
+def test_gradcheck_detects_injected_fault(scale_backward):
+    # a 5% error in the backward pass of the latent W2 loss that training
+    # calls: only the 'da' check may fail
+    scale_backward(losses, "gaussian_w2", 1.05)
+    by_name = {name: passed for name, _, passed in run_gradcheck(seed=0)}
     assert not by_name["da"]
     assert all(passed for name, passed in by_name.items() if name != "da")
+
+
+def test_gradient_check_demo():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "demos" / "04_gradient_check.py")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "9/9 terms passed" in proc.stdout
+    assert "injected fault in 'da': detected" in proc.stdout
 
 
 def test_ablate_writes_table(tmp_path, capsys):

@@ -5,9 +5,10 @@ from zsalign import (AblationFlags, Adam, Architecture, Model, Rng,
                      SynthConfig, TrainSchedule, batch_iter, fit,
                      schedule_weights, step_joint, step_max_discrepancy,
                      step_min_discrepancy, synth_generate, write_curves)
-from zsalign import training
+from zsalign import gradcheck, losses, training
 from zsalign.training import (CLS_GROUPS, CURVES_HEADER, ENC_GROUPS,
-                              ModelOptimizer, joint_terms, train_epoch)
+                              ModelOptimizer, TrainingDivergence, joint_terms,
+                              train_epoch)
 from zsalign.model import GROUPS
 
 SMALL_ARCH = dict(structure_dim=12, latent_dim=4, common_hidden=8,
@@ -419,6 +420,37 @@ def test_step_joint_reports_builder_terms(with_icoral):
     if with_icoral:
         ref.standard_normal(batch.unseen_attrs.shape[0], k)
     assert rng._gen.bit_generator.state == ref._gen.bit_generator.state
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("loss,phase", [("gaussian_w2", "joint"),
+                                        ("sliced_wasserstein_discrepancy",
+                                         "max")])
+def test_non_finite_gradient_is_a_divergence_naming_the_step(
+        scale_backward, loss, phase):
+    ds, model, sched = small_setup()
+    sched.epochs = 1
+    scale_backward(losses, loss, np.inf)
+    with pytest.raises(TrainingDivergence,
+                       match=f"non-finite gradient in the {phase} step") as e:
+        fit(model, ds, sched, Rng(0))
+    assert (e.value.epoch, e.value.batch) == (0, 0)
+
+
+def test_gradient_suite_builds_adversarial_terms_from_training(monkeypatch):
+    real, calls = training.swd, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(training, "swd", counting)
+    model, batch = gradcheck._small_setup(0)
+    terms = gradcheck.loss_terms(model, batch, 0)
+    for name in ("dis1", "dis2"):
+        calls.clear()
+        terms[name]()
+        assert len(calls) == 2, name
 
 
 # ---- curves file ----------------------------------------------------------
