@@ -131,8 +131,9 @@ def train_softmax_classifier(latents, labels, rng, epochs=30):
     """Single affine layer + softmax, Adam on the mean cross-entropy.
 
     Each step forms the gradients of `w` and `b` directly, with the
-    operations, in the order, that the tape's backward pass would use; the
-    loss value itself is never needed.
+    operations, in the order, that the tape's backward pass would use, and
+    writes them into the optimizer's gradient array; the loss value itself
+    is never needed.
     """
     if len(latents) == 0:
         raise ValueError("empty latent training set")
@@ -155,10 +156,9 @@ def train_softmax_classifier(latents, labels, rng, epochs=30):
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             # backward starts from a loss gradient of 1 in the logits dtype
             g = softmax_cross_entropy_grad(e, y[idx], logits.dtype.type(1))
-            w.grad = (x.T @ g).astype(w.dtype, copy=False)
-            b.grad = g.sum(axis=0, keepdims=True).astype(b.dtype, copy=False)
-            check_finite(w.grad, "gradient")
-            check_finite(b.grad, "gradient")
+            w.grad[...] = x.T @ g
+            b.grad[...] = g.sum(axis=0, keepdims=True)
+            check_finite(opt.grad, "gradient")
             opt.step()
     return LatentClassifier(w=w.data.copy(), b=b.data.copy(),
                             class_ids=class_ids)

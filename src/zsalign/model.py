@@ -84,10 +84,6 @@ class Model:
     def all_params(self):
         return self.group_params(GROUPS)
 
-    def zero_grads(self):
-        for p in self.all_params():
-            p.grad = None
-
     def param_bytes(self, names=GROUPS):
         """Concatenated raw parameter bytes, for freezing checks."""
         return b"".join(p.data.tobytes() for p in self.group_params(names))
@@ -157,17 +153,28 @@ def load_checkpoint(path):
         if os.fstat(f.fileno()).st_size < 8 + hlen:
             raise ValueError(f"checkpoint '{path}' header truncated")
         header = json.loads(f.read(hlen).decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError("checkpoint header must be a JSON object")
         if header.get("format_version") != MAGIC_VERSION:
             raise ValueError("unsupported checkpoint format version")
-        arch = Architecture(**header["architecture"])
+        try:
+            arch = Architecture(**header.get("architecture"))
+            arch.validate()
+        except TypeError as e:
+            raise ValueError(f"checkpoint 'architecture' invalid: {e}") from e
+        manifest = header.get("params")
+        if not (isinstance(manifest, list) and all(
+                isinstance(e, dict) and {"name", "shape"} <= e.keys()
+                for e in manifest)):
+            raise ValueError("checkpoint 'params' must be a list of objects "
+                             "with 'name' and 'shape'")
         model = Model(arch, None)
         named = _named_params(model)
-        manifest = header["params"]
         if [n for n, _ in named] != [e["name"] for e in manifest]:
             raise ValueError("checkpoint manifest does not match architecture")
         # read straight into each zero array, so a load holds them once
         for (name, p), entry in zip(named, manifest):
-            if tuple(entry["shape"]) != p.shape:
+            if entry["shape"] != list(p.shape):
                 raise ValueError(f"checkpoint shape mismatch for '{name}'")
             if f.readinto(p.data) != p.data.nbytes:
                 raise ValueError(f"checkpoint data truncated at '{name}'")

@@ -1,16 +1,15 @@
-"""Adam with bias correction, updated in place chunk by chunk.
+"""Adam with bias correction, over parameters it stores itself.
 
-The first and second moments are each one float64 vector over the
-concatenated parameters (float64 so that g*g cannot overflow float32
-storage). The parameters themselves stay where they are: a step walks the
-moment vectors in chunks of `_CHUNK` elements, gathers the gradients of the
-chunk into a float64 scratch buffer, updates the moments in place, and
-subtracts the update from each parameter slice the chunk covers. A large
-weight spans many chunks; many small tensors share one. Three scratch
-buffers of at most `_CHUNK` elements are allocated once, at construction,
-so a step allocates no whole-array temporaries.
-
-The result is bitwise identical to the whole-array update
+An `Adam` copies its parameters, in order, into one flat `data` array and
+rebinds each parameter's `data` and `grad` to views of `data` and of a
+zeroed flat `grad` array, so the backward pass adds each leaf's gradient
+straight into `grad`. Gradients are written in place (`p.grad[...] = g`):
+a step raises `ValueError`, before any state moves, if a parameter's
+`data` or `grad` is no longer its view. The moments are float64 vectors
+of the same layout (so g*g cannot overflow float32). A step walks `data`,
+`grad` and the moments in `_CHUNK`-element slices through three scratch
+buffers allocated once, and clears `grad` as it goes. The result is
+bitwise identical to the whole-array update
 
     m = b1 * m + (1 - b1) * g
     v = b2 * v + (1 - b2) * g * g
@@ -22,8 +21,6 @@ operations in the same order. The only rewrites are commutative
 bias corrections stay divisions, `eps` is added after the square root,
 and the update is cast to the parameter dtype before it is subtracted.
 """
-
-import itertools
 
 import numpy as np
 
@@ -44,46 +41,40 @@ class Adam:
                              + ", ".join(sorted(str(d) for d in dtypes)))
         dtype = dtypes.pop() if dtypes else np.float64
         n = sum(p.data.size for p in self.params)
+        self.data = np.empty(n, dtype=dtype)
+        self.grad = np.zeros(n, dtype=dtype)
+        start = 0
+        for p in self.params:
+            stop = start + p.data.size
+            view = self.data[start:stop].reshape(p.shape)
+            view[...] = p.data
+            p.data, p.grad = view, self.grad[start:stop].reshape(p.shape)
+            start = stop
+        self._views = [(p.data, p.grad) for p in self.params]
         self.m = np.zeros(n, dtype=np.float64)
         self.v = np.zeros(n, dtype=np.float64)
         k = min(n, _CHUNK)
         self._grad = np.empty(k, dtype=np.float64)
         self._denom = np.empty(k, dtype=np.float64)
         self._update = np.empty(k, dtype=dtype)
-        # per chunk of the flat moments: (start, stop, segments), where a
-        # segment is (param index, slice of the flat param, slice of chunk)
-        ends = list(itertools.accumulate(p.data.size for p in self.params))
-        spans = list(zip([0] + ends[:-1], ends))
-        self._plan = []
-        for start in range(0, n, _CHUNK):
-            stop = min(start + _CHUNK, n)
-            segments = []
-            for i, (lo, hi) in enumerate(spans):
-                a, b = max(lo, start), min(hi, stop)
-                if a < b:
-                    segments.append((i, slice(a - lo, b - lo),
-                                     slice(a - start, b - start)))
-            self._plan.append((start, stop, segments))
 
     def step(self):
-        for p in self.params:
-            if p.grad is None:
-                raise ValueError("adam step on empty gradient slot")
-            if not p.data.flags.c_contiguous:
-                raise ValueError("adam parameter data must be C-contiguous, "
-                                 "or its update would be written to a copy")
-        data = [p.data.reshape(-1) for p in self.params]
-        grads = [p.grad.reshape(-1) for p in self.params]
+        for p, (data, grad) in zip(self.params, self._views):
+            if p.data is not data or p.grad is not grad:
+                raise ValueError(
+                    "adam parameter no longer views the optimizer's storage; "
+                    "write its data and gradient in place")
         self.t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         c1, c2 = 1 - b1, 1 - b2
         bc1, bc2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        for start, stop, segments in self._plan:
+        for start in range(0, self.data.size, _CHUNK):
+            stop = min(start + _CHUNK, self.data.size)
             k = stop - start
             g, d, u = self._grad[:k], self._denom[:k], self._update[:k]
             m, v = self.m[start:stop], self.v[start:stop]
-            for i, ps, cs in segments:
-                g[cs] = grads[i][ps]
+            g[...] = self.grad[start:stop]
+            self.grad[start:stop] = 0
             np.multiply(g, c2, out=d)
             d *= g
             v *= b2
@@ -98,10 +89,7 @@ class Adam:
             d += eps
             g /= d
             u[...] = g
-            for i, ps, cs in segments:
-                data[i][ps] -= u[cs]
-        self.zero_grad()
+            self.data[start:stop] -= u
 
     def zero_grad(self):
-        for p in self.params:
-            p.grad = None
+        self.grad[...] = 0

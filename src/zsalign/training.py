@@ -93,13 +93,12 @@ def schedule_weights(sched, epoch):
 class ModelOptimizer:
     """One Adam per freezing partition: the task encoders (`enc`), the
     classifiers (`cls`) and every other group (`rest`). `step(phase)`
-    updates the partitions that phase trains and then clears every model
-    gradient, so the frozen partitions stay bitwise untouched. The groups
-    of a partition are always stepped together, so they share one Adam
-    step count."""
+    updates the partitions that phase trains, each clearing its own
+    gradients, and clears the gradients of the others, so the frozen
+    partitions stay bitwise untouched. The groups of a partition are
+    always stepped together, so they share one Adam step count."""
 
     def __init__(self, model, sched):
-        self.model = model
         rest = tuple(g for g in GROUPS if g not in ENC_GROUPS + CLS_GROUPS)
         self.adams = {
             name: Adam(model.group_params(groups), lr=sched.learning_rate,
@@ -109,9 +108,11 @@ class ModelOptimizer:
         }
 
     def step(self, phase):
-        for name in PHASE_PARTITIONS[phase]:
-            self.adams[name].step()
-        self.model.zero_grads()
+        for name, adam in self.adams.items():
+            if name in PHASE_PARTITIONS[phase]:
+                adam.step()
+            else:
+                adam.zero_grad()
 
 
 def _descend(opt, phase, terms, total):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import pytest
 
 from zsalign.tensor import node
@@ -21,3 +24,16 @@ def scale_backward(monkeypatch):
         monkeypatch.setattr(module, name, faulty)
 
     return install
+
+
+@pytest.fixture
+def with_header():
+    """`with_header(raw, edit)`: the checkpoint bytes `raw` with its JSON
+    header replaced by `edit(header)` and the header length updated."""
+
+    def rewrite(raw, edit):
+        (hlen,) = struct.unpack("<Q", raw[:8])
+        hbytes = json.dumps(edit(json.loads(raw[8:8 + hlen]))).encode("utf-8")
+        return struct.pack("<Q", len(hbytes)) + hbytes + raw[8 + hlen:]
+
+    return rewrite

@@ -7,6 +7,8 @@ from pathlib import Path
 
 from zsalign import (Architecture, EvalCounts, Model, Rng, SynthConfig,
                      TrainSchedule, czsl_eval, fit, gzsl_eval, synth_generate)
+from zsalign.model import GROUPS
+from zsalign.training import ModelOptimizer
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -48,3 +50,21 @@ def test_tracer_records_a_call_for_every_wrapped_name():
     names |= {"data.batch_iter", "optim.Adam.step"}
     silent = [n for n in sorted(names) if summary[f"{n}.calls"][0] < 1]
     assert silent == []
+
+
+def test_optimizer_holds_what_the_tracer_reads():
+    # the tracer counts `optim.param_bytes_updated` from `Adam.params`
+    model = Model(Architecture(visual_dim=16, attr_dim=8, n_seen_classes=4,
+                               structure_dim=12, latent_dim=4,
+                               common_hidden=8, dec_visual_hidden=8,
+                               dec_semantic_hidden=6), Rng(0))
+    opt = ModelOptimizer(model, TrainSchedule())
+    params = model.group_params(GROUPS)
+    held = [p for adam in opt.adams.values() for p in adam.params]
+    # each of the model's own tensors once, in GROUPS order per Adam
+    assert sorted(map(id, held)) == sorted(map(id, params))
+    rank = {id(p): i for i, p in enumerate(params)}
+    for adam in opt.adams.values():
+        ranks = [rank[id(p)] for p in adam.params]
+        assert ranks == sorted(ranks)
+        assert sum(p.data.nbytes for p in adam.params) == adam.data.nbytes

@@ -121,7 +121,7 @@ def test_exit_code_1_on_bad_usage(capsys):
     capsys.readouterr()
 
 
-def test_exit_code_2_on_runtime_error(tmp_path, capsys):
+def test_exit_code_2_on_runtime_error(tmp_path, capsys, with_header):
     # checkpoint dims disagree with the dataset named by the eval config
     cfg_a = write_cfg(tmp_path, "a.json")
     out = tmp_path / "run"
@@ -140,6 +140,17 @@ def test_exit_code_2_on_runtime_error(tmp_path, capsys):
     assert main(["eval", "--config", cfg_a, "--out", str(tmp_path / "ev2"),
                  "--checkpoint", str(stub)]) == 2
     assert "truncated" in capsys.readouterr().err
+
+    # so is a malformed header: here an architecture field given as a string
+    def edit(header):
+        header["architecture"]["latent_dim"] = "4"
+        return header
+
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(with_header((out / "checkpoint.bin").read_bytes(), edit))
+    assert main(["eval", "--config", cfg_a, "--out", str(tmp_path / "ev3"),
+                 "--checkpoint", str(bad)]) == 2
+    assert "'latent_dim' must be int" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("synth,field", [

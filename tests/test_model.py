@@ -104,7 +104,7 @@ def test_checkpoint_round_trip_bitwise(tmp_path, monkeypatch):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_checkpoint_corruption_detected(tmp_path):
+def test_checkpoint_corruption_detected(tmp_path, with_header):
     m = small_model()
     path = tmp_path / "ckpt.bin"
     save_checkpoint(m, path)
@@ -130,6 +130,44 @@ def test_checkpoint_corruption_detected(tmp_path):
     huge.write_bytes(struct.pack("<Q", 2**62) + raw[8:])
     with pytest.raises(ValueError, match="header truncated"):
         load_checkpoint(huge)
+
+    # a malformed header is a ValueError naming what is wrong
+    for edit, match in MALFORMED_HEADERS:
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(with_header(raw, edit))
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(bad)
+
+
+def _set(path, value):
+    """A header edit that sets `header[path[0]][path[1]]...` to `value`,
+    or deletes it if `value` is `...`."""
+    def edit(header):
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        if value is ...:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        return header
+    return edit
+
+
+MALFORMED_HEADERS = [
+    (lambda h: [h], "header must be a JSON object"),
+    (_set(["params"], ...), "'params'"),
+    (_set(["params", 0], "enc_visual/layer0/w"), "'params'"),
+    (_set(["params", 0, "shape"], ...), "'params'"),
+    (_set(["params", 0, "shape"], 7), "shape mismatch"),
+    (_set(["architecture"], ...), "'architecture'"),
+    (_set(["architecture"], [7, 5, 3]), "'architecture'"),
+    (_set(["architecture", "depth"], 3), "'depth'"),
+    (_set(["architecture", "visual_dim"], ...), "'visual_dim'"),
+    (_set(["architecture", "latent_dim"], "4"), "'latent_dim'"),
+    (_set(["architecture", "latent_dim"], 4.0), "'latent_dim'"),
+    (_set(["architecture", "latent_dim"], True), "'latent_dim'"),
+]
 
 
 def test_checkpoint_load_holds_parameters_once(tmp_path):

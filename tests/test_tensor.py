@@ -166,7 +166,7 @@ def test_adam_zero_gradient_noop():
     before = p.data.copy()
     opt = Adam([p], lr=0.1)
     for _ in range(10):
-        p.grad = np.zeros_like(p.data)
+        p.grad[...] = 0
         opt.step()
     assert np.array_equal(p.data, before)
     assert opt.t == 10
@@ -174,14 +174,18 @@ def test_adam_zero_gradient_noop():
 
 def test_adam_empty_gradient_errors():
     p = Tensor(np.ones((1, 1)), requires_grad=True)
-    with pytest.raises(ValueError):
-        Adam([p]).step()
+    opt = Adam([p])
+    # an emptied slot, and a gradient rebound instead of written in place
+    for grad in (None, np.ones((1, 1))):
+        p.grad = grad
+        with pytest.raises(ValueError, match="in place"):
+            opt.step()
 
 
 def test_adam_first_step_matches_hand_recurrence():
     p = Tensor(np.array([[1.0]]), requires_grad=True)
     opt = Adam([p], lr=1e-3, beta1=0.5, beta2=0.999, eps=1e-8)
-    p.grad = np.array([[1.0]])
+    p.grad[...] = 1.0
     opt.step()
     # bias correction makes the first step exactly lr / (1 + eps)
     assert abs(p.data.item() - (1.0 - 1e-3 / (1.0 + 1e-8))) < 1e-12
@@ -197,7 +201,7 @@ def test_adam_two_steps_match_hand_recurrence():
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         theta -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
-        p.grad = np.array([[g]])
+        p.grad[...] = g
         opt.step()
     assert abs(p.data.item() - theta) < 1e-12
 
@@ -253,7 +257,7 @@ def test_adam_chunked_update_bitwise_matches_whole_array(case):
             g = gen.standard_normal(p.data.shape) * \
                 10.0 ** gen.uniform(-8, 4, p.data.shape)
             g[gen.random(p.data.shape) < 0.05] = 0.0
-            p.grad, q.grad = g.astype(dtype), g.astype(dtype)
+            p.grad[...], q.grad = g.astype(dtype), g.astype(dtype)
         opt.step()
         oracle.step()
         for p, q in zip(ours, ref):
@@ -264,7 +268,7 @@ def test_adam_chunked_update_bitwise_matches_whole_array(case):
 def test_adam_step_allocates_no_whole_array_temporaries():
     p = Tensor(np.ones((1024, 1024), dtype=np.float32), requires_grad=True)
     opt = Adam([p])
-    p.grad = np.full((1024, 1024), 0.5, dtype=np.float32)
+    p.grad[...] = 0.5
     tracemalloc.start()
     try:
         opt.step()
@@ -272,6 +276,21 @@ def test_adam_step_allocates_no_whole_array_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak           # one whole-array temporary: 4 MB
+
+
+def test_adam_owns_parameter_storage():
+    w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    b = Tensor(np.array([[7.0, 8.0, 9.0]]), requires_grad=True)
+    opt = Adam([w, b])
+    # the parameters, in order, are views into one flat array
+    assert opt.data.tolist() == [0, 1, 2, 3, 4, 5, 7, 8, 9]
+    assert w.data.base is opt.data and b.data.base is opt.data
+    # the tape adds leaf gradients straight into the optimizer's array
+    (Tensor(np.ones((1, 2))) @ w + b).sum().backward()
+    assert opt.grad.tolist() == [1, 1, 1, 1, 1, 1, 1, 1, 1]
+    opt.step()
+    assert not opt.grad.any()
+    assert w.data.base is opt.data and b.grad.base is opt.grad
 
 
 def test_adam_rejects_mixed_dtypes():
@@ -282,34 +301,35 @@ def test_adam_rejects_mixed_dtypes():
 
 
 def _adam_state(opt, params):
-    return (opt.t, opt.m.tobytes(), opt.v.tobytes(),
-            [p.data.tobytes() for p in params])
+    return (opt.t, opt.m.tobytes(), opt.v.tobytes(), opt.data.tobytes(),
+            opt.grad.tobytes(), [p.data.tobytes() for p in params])
 
 
-def test_adam_rejects_non_contiguous_data_untouched():
+def _stepped_pair():
+    """Two parameters under one Adam after one step, and their state."""
     a = Tensor(np.ones((3, 4), dtype=np.float32), requires_grad=True)
     b = Tensor(np.ones((1, 4), dtype=np.float32), requires_grad=True)
     opt = Adam([a, b], lr=0.1)
-    a.grad, b.grad = np.ones((3, 4), np.float32), np.ones((1, 4), np.float32)
+    a.grad[...], b.grad[...] = 1, 1
     opt.step()
-    # a transposed copy would take the update into reshape(-1)'s copy
+    a.grad[...], b.grad[...] = 1, 1
+    return a, b, opt, _adam_state(opt, [a, b])
+
+
+def test_adam_rejects_non_contiguous_data_untouched():
+    a, b, opt, before = _stepped_pair()
+    # a transposed copy is not the optimizer's storage, so an update would
+    # not reach it
     a.data = np.ascontiguousarray(a.data.T).T
-    before = _adam_state(opt, [a, b])
-    a.grad, b.grad = np.ones((3, 4), np.float32), np.ones((1, 4), np.float32)
-    with pytest.raises(ValueError, match="contiguous"):
+    with pytest.raises(ValueError, match="in place"):
         opt.step()
     assert _adam_state(opt, [a, b]) == before
 
 
 def test_adam_empty_gradient_leaves_state_untouched():
-    a = Tensor(np.ones((3, 4), dtype=np.float32), requires_grad=True)
-    b = Tensor(np.ones((1, 4), dtype=np.float32), requires_grad=True)
-    opt = Adam([a, b], lr=0.1)
-    a.grad, b.grad = np.ones((3, 4), np.float32), np.ones((1, 4), np.float32)
-    opt.step()
-    before = _adam_state(opt, [a, b])
-    a.grad = np.ones((3, 4), np.float32)    # b's slot left empty
-    with pytest.raises(ValueError, match="empty gradient"):
+    a, b, opt, before = _stepped_pair()
+    b.grad = None
+    with pytest.raises(ValueError, match="in place"):
         opt.step()
     assert _adam_state(opt, [a, b]) == before
 
