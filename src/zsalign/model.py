@@ -48,6 +48,15 @@ LAYOUT = {
 GROUPS = tuple(LAYOUT)
 
 
+def _param_count(arch):
+    """Number of parameters of a `Model` of `arch`, from `LAYOUT` alone."""
+    count = 0
+    for widths, _ in LAYOUT.values():
+        dims = [getattr(arch, w) for w in widths]
+        count += sum((i + 1) * o for i, o in zip(dims, dims[1:]))
+    return count
+
+
 def dataset_dims(ds):
     """The Architecture fields that the dataset `ds` fixes."""
     return {"visual_dim": ds.visual_dim, "attr_dim": ds.attr_dim,
@@ -150,7 +159,8 @@ def load_checkpoint(path):
         if len(head) < 8:
             raise ValueError(f"checkpoint '{path}' truncated")
         (hlen,) = struct.unpack("<Q", head)
-        if os.fstat(f.fileno()).st_size < 8 + hlen:
+        size = os.fstat(f.fileno()).st_size
+        if size < 8 + hlen:
             raise ValueError(f"checkpoint '{path}' header truncated")
         header = json.loads(f.read(hlen).decode("utf-8"))
         if not isinstance(header, dict):
@@ -168,6 +178,9 @@ def load_checkpoint(path):
                 for e in manifest)):
             raise ValueError("checkpoint 'params' must be a list of objects "
                              "with 'name' and 'shape'")
+        # the file must hold the parameters before the model is allocated
+        if 4 * _param_count(arch) > size - 8 - hlen:
+            raise ValueError(f"checkpoint '{path}' data truncated")
         model = Model(arch, None)
         named = _named_params(model)
         if [n for n, _ in named] != [e["name"] for e in manifest]:

@@ -5,24 +5,42 @@ rebinds each parameter's `data` and `grad` to views of `data` and of a
 zeroed flat `grad` array, so the backward pass adds each leaf's gradient
 straight into `grad`. Gradients are written in place (`p.grad[...] = g`):
 a step raises `ValueError`, before any state moves, if a parameter's
-`data` or `grad` is no longer its view. The moments are float64 vectors
-of the same layout (so g*g cannot overflow float32). A step walks `data`,
-`grad` and the moments in `_CHUNK`-element slices through three scratch
-buffers allocated once, and clears `grad` as it goes. The result is
-bitwise identical to the whole-array update
+`data` or `grad` is no longer its view. The moments `m` and `v` are flat
+arrays of the same layout and of the parameters' own dtype, so a float32
+model keeps float32 optimizer state. A step walks `data`, `grad` and the
+moments in `_CHUNK`-element slices; its temporaries are the gradient
+slice itself, cleared when the slice is done, and one scratch buffer
+allocated once. The result is bitwise identical to the whole-array update
+in the parameters' dtype
 
     m = b1 * m + (1 - b1) * g
     v = b2 * v + (1 - b2) * g * g
-    p -= (lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)).astype(p.dtype)
+    p -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
 
 because every element is computed on its own by the same IEEE-rounded
 operations in the same order. The only rewrites are commutative
 (`g * (1 - b1)` for `(1 - b1) * g`, `m_hat * lr` for `lr * m_hat`); the
-bias corrections stay divisions, `eps` is added after the square root,
-and the update is cast to the parameter dtype before it is subtracted.
+bias corrections stay divisions and `eps` is added after the square root.
+
+In float32 a finite gradient can overflow the second moment: with
+b2 = 0.999, `(1 - b2) * g * g` is infinite for |g| above about 5.8e20,
+and on the first step `v / (1 - b2)` already for |g| above 1.8e19. An
+infinite `v` or denominator would silently freeze that element, so any
+overflow in a step raises `NonFiniteError` instead, which ends training
+with the state partly updated. Tiny gradients have a cost but no fault:
+for 1.2e-21 < |g| < 3.4e-18, `(1 - b2) * g * g` is subnormal, and a
+64x200 classifier step over such gradients took 582 us against 67 us on
+a 2-vCPU VM.
+No gradient fell in that window in the evaluations of the bench_fit and
+paper_eval benchmarks or in a 100-epoch acceptance training, so nothing
+guards it. (The first moment of an element whose gradient stays zero
+decays through the subnormal range too: 0.03% of the element updates of
+that training.)
 """
 
 import numpy as np
+
+from .tensor import NonFiniteError
 
 _CHUNK = 1 << 14
 
@@ -51,12 +69,9 @@ class Adam:
             p.data, p.grad = view, self.grad[start:stop].reshape(p.shape)
             start = stop
         self._views = [(p.data, p.grad) for p in self.params]
-        self.m = np.zeros(n, dtype=np.float64)
-        self.v = np.zeros(n, dtype=np.float64)
-        k = min(n, _CHUNK)
-        self._grad = np.empty(k, dtype=np.float64)
-        self._denom = np.empty(k, dtype=np.float64)
-        self._update = np.empty(k, dtype=dtype)
+        self.m = np.zeros(n, dtype=dtype)
+        self.v = np.zeros(n, dtype=dtype)
+        self._denom = np.empty(min(n, _CHUNK), dtype=dtype)
 
     def step(self):
         for p, (data, grad) in zip(self.params, self._views):
@@ -68,28 +83,29 @@ class Adam:
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         c1, c2 = 1 - b1, 1 - b2
         bc1, bc2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        for start in range(0, self.data.size, _CHUNK):
-            stop = min(start + _CHUNK, self.data.size)
-            k = stop - start
-            g, d, u = self._grad[:k], self._denom[:k], self._update[:k]
-            m, v = self.m[start:stop], self.v[start:stop]
-            g[...] = self.grad[start:stop]
-            self.grad[start:stop] = 0
-            np.multiply(g, c2, out=d)
-            d *= g
-            v *= b2
-            v += d
-            g *= c1
-            m *= b1
-            m += g
-            np.divide(m, bc1, out=g)
-            g *= lr
-            np.divide(v, bc2, out=d)
-            np.sqrt(d, out=d)
-            d += eps
-            g /= d
-            u[...] = g
-            self.data[start:stop] -= u
+        try:
+            with np.errstate(over="raise"):
+                for start in range(0, self.data.size, _CHUNK):
+                    stop = min(start + _CHUNK, self.data.size)
+                    g, d = self.grad[start:stop], self._denom[:stop - start]
+                    m, v = self.m[start:stop], self.v[start:stop]
+                    np.multiply(g, c2, out=d)
+                    d *= g
+                    v *= b2
+                    v += d
+                    g *= c1
+                    m *= b1
+                    m += g
+                    np.divide(m, bc1, out=g)
+                    g *= lr
+                    np.divide(v, bc2, out=d)
+                    np.sqrt(d, out=d)
+                    d += eps
+                    g /= d
+                    self.data[start:stop] -= g
+                    g[...] = 0
+        except FloatingPointError as e:
+            raise NonFiniteError(f"adam step {self.t}: {e}") from None
 
     def zero_grad(self):
         self.grad[...] = 0

@@ -39,13 +39,17 @@ LOSS_TERMS = ("vae_x", "vae_a", "rec", "cls", "dis1", "dis2", "da", "icoral")
 
 
 class TrainingDivergence(RuntimeError):
-    """A non-finite loss term, or (`term == "gradient"`) a non-finite
-    gradient after backward, in the training step of `phase`."""
+    """A non-finite loss term, a non-finite gradient after backward
+    (`term == "gradient"`), or an overflow in the Adam update of the
+    `ModelOptimizer` partition `partition` (`term == "update"`), in the
+    training step of `phase`."""
 
-    def __init__(self, term, phase, epoch=None, batch=None):
-        self.term, self.phase = term, phase
+    def __init__(self, term, phase, epoch=None, batch=None, partition=None):
+        self.term, self.phase, self.partition = term, phase, partition
         self.epoch, self.batch = epoch, batch
-        what = "gradient" if term == "gradient" else f"loss term '{term}'"
+        what = {"gradient": "gradient",
+                "update": f"Adam update of partition '{partition}'"}.get(
+                    term, f"loss term '{term}'")
         where = "" if epoch is None else f" at epoch {epoch}, batch {batch}"
         super().__init__(f"non-finite {what} in the {phase} step{where}")
 
@@ -96,7 +100,8 @@ class ModelOptimizer:
     updates the partitions that phase trains, each clearing its own
     gradients, and clears the gradients of the others, so the frozen
     partitions stay bitwise untouched. The groups of a partition are
-    always stepped together, so they share one Adam step count."""
+    always stepped together, so they share one Adam step count. An Adam
+    step that overflows is a `TrainingDivergence` naming the partition."""
 
     def __init__(self, model, sched):
         rest = tuple(g for g in GROUPS if g not in ENC_GROUPS + CLS_GROUPS)
@@ -110,7 +115,11 @@ class ModelOptimizer:
     def step(self, phase):
         for name, adam in self.adams.items():
             if name in PHASE_PARTITIONS[phase]:
-                adam.step()
+                try:
+                    adam.step()
+                except NonFiniteError:
+                    raise TrainingDivergence("update", phase,
+                                             partition=name) from None
             else:
                 adam.zero_grad()
 
@@ -271,7 +280,8 @@ def train_epoch(model, ds, sched, epoch, rng, opt, flags=None):
                 terms["dis2"] = step_min_discrepancy(
                     model, batch, weights, opt, r_step, sched)["dis2"]
         except TrainingDivergence as e:
-            raise TrainingDivergence(e.term, e.phase, epoch, bi) from None
+            raise TrainingDivergence(e.term, e.phase, epoch, bi,
+                                     e.partition) from None
         for k, v in terms.items():
             sums[k] += v
         n_batches += 1

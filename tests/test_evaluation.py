@@ -11,6 +11,7 @@ from zsalign import (Adam, Architecture, EvalCounts, Linear, Model, Rng,
 from zsalign.evaluation import (CZSL_DEFAULT_COUNTS, ENCODE_ROWS,
                                 GZSL_DEFAULT_COUNTS, LatentClassifier,
                                 MetricsReport, encode_test_features)
+from zsalign.tensor import NonFiniteError
 
 SMALL_ARCH = dict(structure_dim=12, latent_dim=4, common_hidden=8,
                   dec_visual_hidden=8, dec_semantic_hidden=6)
@@ -250,6 +251,14 @@ def test_softmax_classifier_fits_separable_blobs():
     clf = train_softmax_classifier(z, y, Rng(1))
     assert np.mean(clf.predict(z) == y) > 0.99
     assert sorted(clf.class_ids) == [7, 9]
+
+
+def test_softmax_classifier_overflow_raises():
+    # finite latents of 1e21 give finite gradients whose square overflows
+    # the float32 Adam state
+    z = np.full((8, 3), 1e21, dtype=np.float32)
+    with pytest.raises(NonFiniteError, match="overflow"):
+        train_softmax_classifier(z, np.arange(8) % 2, Rng(0))
 
 
 def test_softmax_classifier_rejects_empty():

@@ -131,6 +131,14 @@ def test_checkpoint_corruption_detected(tmp_path, with_header):
     with pytest.raises(ValueError, match="header truncated"):
         load_checkpoint(huge)
 
+    # a header implying more parameters than the file holds (21.8 TiB
+    # here) is caught before the model is allocated
+    giant = tmp_path / "giant.bin"
+    giant.write_bytes(with_header(
+        raw, _set(["architecture", "latent_dim"], 10 ** 12)))
+    with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(giant)
+
     # a malformed header is a ValueError naming what is wrong
     for edit, match in MALFORMED_HEADERS:
         bad = tmp_path / "bad.bin"

@@ -6,7 +6,7 @@ import pytest
 from zsalign import Adam, Mlp, Rng, Tensor, finite_difference_check
 from zsalign.losses import softmax_cross_entropy
 from zsalign.optim import _CHUNK
-from zsalign.tensor import softmax, sort_ascending_columns
+from zsalign.tensor import NonFiniteError, softmax, sort_ascending_columns
 
 
 def test_mlp_identity_relu_clamps():
@@ -207,26 +207,26 @@ def test_adam_two_steps_match_hand_recurrence():
 
 
 class WholeArrayAdam:
-    """Reference: the plain whole-array Adam update, one temporary per
-    operation. The chunked in-place `Adam` must match it bit for bit."""
+    """Reference: the plain whole-array Adam update in the parameters'
+    dtype, one temporary per operation. The chunked in-place `Adam` must
+    match it bit for bit."""
 
     def __init__(self, params, lr, beta1, beta2, eps=1e-8):
         self.params, self.lr, self.eps = params, lr, eps
         self.beta1, self.beta2, self.t = beta1, beta2, 0
-        self.m = [np.zeros(p.data.shape, dtype=np.float64) for p in params]
-        self.v = [np.zeros(p.data.shape, dtype=np.float64) for p in params]
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
 
     def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for i, p in enumerate(self.params):
-            g = p.grad.astype(np.float64, copy=False)
+            g = p.grad
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             m_hat = self.m[i] / (1 - b1 ** self.t)
             v_hat = self.v[i] / (1 - b2 ** self.t)
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-                       ).astype(p.dtype)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         for p in self.params:
             p.grad = None
 
@@ -291,6 +291,30 @@ def test_adam_owns_parameter_storage():
     opt.step()
     assert not opt.grad.any()
     assert w.data.base is opt.data and b.grad.base is opt.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_state_has_parameter_dtype(dtype):
+    w = Tensor(np.zeros((300, 70), dtype=dtype), requires_grad=True)
+    b = Tensor(np.zeros((1, 70), dtype=dtype), requires_grad=True)
+    opt = Adam([w, b])
+    for state in (opt.m, opt.v, opt._denom):
+        assert state.dtype == dtype
+    assert opt.m.nbytes + opt.v.nbytes == 2 * opt.data.nbytes
+
+
+def test_adam_overflow_raises():
+    # (1 - b2) * g * g overflows float32 at |g| = 1e21, not float64
+    for dtype, overflows in ((np.float32, True), (np.float64, False)):
+        p = Tensor(np.zeros((2, 3), dtype=dtype), requires_grad=True)
+        opt = Adam([p])
+        p.grad[0, 1] = 1e21
+        if overflows:
+            with pytest.raises(NonFiniteError, match="overflow"):
+                opt.step()
+        else:
+            opt.step()
+            assert np.isfinite(opt.v).all()
 
 
 def test_adam_rejects_mixed_dtypes():

@@ -440,6 +440,30 @@ def test_non_finite_gradient_is_a_divergence_naming_the_step(
     assert (e.value.epoch, e.value.batch) == (0, 0)
 
 
+def test_adam_overflow_is_a_divergence_naming_the_partition():
+    ds, model, sched = small_setup()
+    opt = ModelOptimizer(model, sched)
+    # finite, but (1 - beta2) * g * g overflows float32 (not float64: see
+    # tests/test_tensor.py::test_adam_overflow_raises)
+    model.enc_visual.layers[0].w.grad[0, 0] = 1e21
+    with pytest.raises(TrainingDivergence, match="Adam update of partition "
+                       "'enc' in the min step") as e:
+        opt.step("min")
+    assert (e.value.term, e.value.partition) == ("update", "enc")
+
+
+def test_adam_overflow_in_training_names_epoch_and_batch(scale_backward):
+    ds, model, sched = small_setup()
+    sched.epochs = 1
+    # finite classification gradients large enough to overflow the float32
+    # Adam state of the encoders, the first partition the joint step updates
+    scale_backward(losses, "softmax_cross_entropy", 1e22)
+    with pytest.raises(TrainingDivergence, match="partition 'enc' in the "
+                       "joint step at epoch 0, batch 0") as e:
+        fit(model, ds, sched, Rng(0))
+    assert (e.value.epoch, e.value.batch, e.value.partition) == (0, 0, "enc")
+
+
 def test_gradient_suite_builds_adversarial_terms_from_training(monkeypatch):
     real, calls = training.swd, []
 
