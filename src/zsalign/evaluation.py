@@ -227,37 +227,32 @@ TEST_SPLITS = {"CZSL": ("test_unseen_idx",),
                "GZSL": ("test_seen_idx", "test_unseen_idx")}
 
 
-def _score(mode, model, ds, counts, rng, use_mean, classifier):
-    """One per-class accuracy table per split in `TEST_SPLITS[mode]`, of
-    `classifier`, or, if it is None, of one trained on latents synthesized
-    for `mode`."""
+def _score(mode, model, ds, counts, rng, use_mean):
+    """One per-class accuracy table per split in `TEST_SPLITS[mode]`, of a
+    classifier trained on latents synthesized for `mode`."""
     r_synth, r_train, *r_tests = rng.spawn(2 + len(TEST_SPLITS[mode]))
-    if classifier is None:
-        z, y = synthesize_latents(model, ds, counts, r_synth, mode)
-        classifier = train_softmax_classifier(z, y, r_train)
+    z, y = synthesize_latents(model, ds, counts, r_synth, mode)
+    classifier = train_softmax_classifier(z, y, r_train)
     return [per_class_top1(classifier, model, ds, getattr(ds, split), r,
                            use_mean)
             for split, r in zip(TEST_SPLITS[mode], r_tests)]
 
 
-def czsl_eval(model, ds, counts=None, rng=None, seed=0, use_mean=False,
-              classifier=None):
+def czsl_eval(model, ds, counts=None, rng=None, seed=0, use_mean=False):
     """Classifier over unseen classes only, evaluated on the unseen test
     split."""
     counts = counts or CZSL_DEFAULT_COUNTS
-    (table,) = _score("CZSL", model, ds, counts, rng or Rng(seed), use_mean,
-                      classifier)
+    (table,) = _score("CZSL", model, ds, counts, rng or Rng(seed), use_mean)
     return MetricsReport(protocol="CZSL", acc=_macro(table, ds.unseen_classes),
                          per_class=table, seed=seed,
                          counts={"unseen": counts.unseen})
 
 
-def gzsl_eval(model, ds, counts=None, rng=None, seed=0, use_mean=False,
-              classifier=None):
+def gzsl_eval(model, ds, counts=None, rng=None, seed=0, use_mean=False):
     """Classifier over all classes, evaluated on both test splits."""
     counts = counts or GZSL_DEFAULT_COUNTS
     table_s, table_u = _score("GZSL", model, ds, counts, rng or Rng(seed),
-                              use_mean, classifier)
+                              use_mean)
     u = _macro(table_u, ds.unseen_classes)
     s = _macro(table_s, ds.seen_classes)
     return MetricsReport(protocol="GZSL", u=u, s=s, h=harmonic_mean(u, s),

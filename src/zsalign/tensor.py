@@ -1,11 +1,10 @@
 """Minimal reverse-mode autodiff over 2-D numpy arrays.
 
-The op catalogue is fixed on purpose: affine (matmul/add), ReLU, softmax,
-elementwise exp/sqrt/abs/square, full and axis reductions, and a
-column-sort whose gradient is routed through the sorting permutation.
-That is everything the losses in this package need, and nothing more.
-
-Reductions accumulate in float64 regardless of storage dtype.
+The op catalogue is what the networks use, and nothing more: `@` and `+`
+for the affine layers, ReLU, softmax, `*` and `exp` for the
+reparameterization, unary `-` and `detach`. Each loss is one node of its
+own, with its closed-form gradient (`losses.py`); every op and loss adds
+its node through `node`.
 """
 
 import numbers
@@ -130,9 +129,6 @@ class Tensor:
             self._accumulate(-g)
         return node(-self.data, (self,), backward)
 
-    def __sub__(self, other):
-        return self + (-as_tensor(other, self.dtype))
-
     def __mul__(self, other):
         other = as_tensor(other, self.dtype)
 
@@ -146,9 +142,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        return self * (1.0 / float(scalar))
-
     def __matmul__(self, other):
         other = as_tensor(other)
 
@@ -159,11 +152,6 @@ class Tensor:
                 other._accumulate(self.data.T @ g)
 
         return node(self.data @ other.data, (self, other), backward)
-
-    def t(self):
-        def backward(g):
-            self._accumulate(g.T)
-        return node(self.data.T, (self,), backward)
 
     # ---- elementwise ----------------------------------------------------
 
@@ -178,44 +166,6 @@ class Tensor:
         def backward(g):
             self._accumulate(g * out_data)
         return node(out_data, (self,), backward)
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def backward(g):
-            # subgradient 0 at exactly zero
-            safe = np.where(out_data > 0, out_data, 1.0)
-            self._accumulate(np.where(out_data > 0, g / (2.0 * safe), 0.0))
-
-        return node(out_data, (self,), backward)
-
-    def abs(self):
-        sign = np.sign(self.data)
-        def backward(g):
-            self._accumulate(g * sign)
-        return node(np.abs(self.data), (self,), backward)
-
-    def square(self):
-        def backward(g):
-            self._accumulate(g * (2.0 * self.data))
-        return node(self.data * self.data, (self,), backward)
-
-    # ---- reductions -----------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        out_data = np.sum(self.data, axis=axis, keepdims=keepdims,
-                          dtype=np.float64).astype(self.dtype)
-
-        def backward(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
-
-        return node(out_data, (self,), backward)
-
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) / n
 
 
 def node(data, parents, backward):
@@ -236,22 +186,6 @@ def softmax(logits):
         logits._accumulate(probs * (g - dot.astype(probs.dtype)))
 
     return node(probs, (logits,), backward)
-
-
-def sort_ascending_columns(x):
-    """Sort each column ascending; gradient flows through the permutation.
-
-    Ties are broken by the stable sort order.
-    """
-    order = np.argsort(x.data, axis=0, kind="stable")
-    out_data = np.take_along_axis(x.data, order, axis=0)
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, order, g, axis=0)
-        x._accumulate(gx)
-
-    return node(out_data, (x,), backward)
 
 
 def as_tensor(x, dtype=None):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from zsalign import evaluation
 from zsalign import (Adam, Architecture, EvalCounts, Linear, Model, Rng,
                      SynthConfig, Tensor, czsl_eval, gzsl_eval, harmonic_mean,
                      per_class_top1, softmax_cross_entropy, synth_generate,
@@ -205,7 +206,14 @@ def constant_classifier(class_id, dim, all_ids):
     return LatentClassifier(w=w, b=b, class_ids=np.asarray(all_ids))
 
 
-def test_per_class_macro_not_micro():
+def use_classifier(monkeypatch, clf):
+    """Make the evaluation protocols score `clf` in place of the classifier
+    they train; the latents are still synthesized, so no stream moves."""
+    monkeypatch.setattr(evaluation, "train_softmax_classifier",
+                        lambda z, y, rng: clf)
+
+
+def test_per_class_macro_not_micro(monkeypatch):
     ds, model = small_setup()
     # predicting class 4 constantly: 100% on class 4, 0% on class 5,
     # macro over unseen split = 50 regardless of per-class sample counts
@@ -213,7 +221,8 @@ def test_per_class_macro_not_micro():
     table = per_class_top1(clf, model, ds, ds.test_unseen_idx, Rng(0))
     assert table[4] == 100.0
     assert table[5] == 0.0
-    rep = czsl_eval(model, ds, rng=Rng(0), classifier=clf)
+    use_classifier(monkeypatch, clf)
+    rep = czsl_eval(model, ds, rng=Rng(0))
     assert rep.acc == 50.0
 
 
@@ -330,7 +339,7 @@ def test_classifier_non_finite_latent_fails_gradient_check():
 
 # ---- end-to-end metric protocols ------------------------------------------
 
-def test_injected_classifier_scored_exactly():
+def test_injected_classifier_scored_exactly(monkeypatch):
     # oracle for the protocol itself: inject a fixed affine classifier,
     # recompute its macro accuracy independently on the same encodings,
     # and require the report to agree exactly
@@ -349,11 +358,12 @@ def test_injected_classifier_scored_exactly():
     preds = clf.predict(z)
     want = np.mean([100.0 * np.mean(preds[labels == c] == c)
                     for c in classes])
-    rep = czsl_eval(model, ds, rng=Rng(5), use_mean=True, classifier=clf)
+    use_classifier(monkeypatch, clf)
+    rep = czsl_eval(model, ds, rng=Rng(5), use_mean=True)
     assert abs(rep.acc - want) < 1e-9
 
 
-def test_perfect_classifier_scores_100():
+def test_perfect_classifier_scores_100(monkeypatch):
     # a classifier that is right on every encoded test sample must score
     # exactly 100; build it on perfectly separated synthetic latents by
     # routing predictions through the true labels
@@ -368,8 +378,8 @@ def test_perfect_classifier_scores_100():
             lookup = {z[i].tobytes(): labels[i] for i in range(len(z))}
             return np.asarray([lookup[row.tobytes()] for row in q])
 
-    rep = czsl_eval(model, ds, rng=Rng(5), use_mean=True,
-                    classifier=Oracle())
+    use_classifier(monkeypatch, Oracle())
+    rep = czsl_eval(model, ds, rng=Rng(5), use_mean=True)
     assert rep.acc == 100.0
 
 

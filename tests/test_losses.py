@@ -312,3 +312,61 @@ def test_every_loss_passes_finite_difference_check():
     for name, (fn, params) in cases.items():
         err = finite_difference_check(fn, params)
         assert err <= 1e-4, f"{name}: rel err {err}"
+
+
+# ---- one node per loss ----------------------------------------------------
+
+LABELS = [0, 3, 1, 2, 1]
+DIRS = Rng(22).unit_directions(3, 4, dtype=np.float64)
+
+# each loss over the tensors it takes, and the shapes of those tensors
+ONE_NODE_CASES = {
+    "l1": (l1_reconstruction, [(5, 4), (5, 4)]),
+    "kl": (lambda mu, lv: kl_to_standard_normal(GaussianParams(mu, lv)),
+           [(4, 3), (4, 3)]),
+    "ce": (lambda x: softmax_cross_entropy(x, LABELS), [(5, 4)]),
+    "swd": (lambda a, b: sliced_wasserstein_discrepancy(a, b, DIRS),
+            [(5, 4), (5, 4)]),
+    "w2": (lambda m1, v1, m2, v2: gaussian_w2(GaussianParams(m1, v1),
+                                              GaussianParams(m2, v2)),
+           [(4, 3)] * 4),
+    "icoral": (icoral, [(5, 4), (6, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_NODE_CASES))
+def test_loss_is_one_node_with_gradients_in_input_dtype(name):
+    fn, shapes = ONE_NODE_CASES[name]
+    rng = Rng(23)
+    arrays = [rng.standard_normal(*s, dtype=np.float64) for s in shapes]
+    grads = {}
+    for dtype in (np.float32, np.float64):
+        inputs = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+        loss = fn(*inputs)
+        assert loss.data.shape == () and loss.dtype == dtype
+        assert len(loss._parents) == len(inputs)
+        assert all(p is x for p, x in zip(loss._parents, inputs))
+        loss.backward()
+        assert all(x.grad.dtype == dtype for x in inputs)
+        grads[dtype] = np.concatenate([x.grad.ravel() for x in inputs])
+    want = grads[np.float64]
+    err = np.linalg.norm(grads[np.float32] - want) / np.linalg.norm(want)
+    assert err < 1e-5, err
+
+
+def test_swd_gradient_routes_through_sorting_permutation():
+    # sorted projections [1, 2, 3] against zeros: the gradient 2 * s / 3 of
+    # each sorted value lands on the row it came from
+    p1 = Tensor(np.array([[3.0], [1.0], [2.0]]), requires_grad=True)
+    loss = sliced_wasserstein_discrepancy(p1, np.zeros((3, 1)), [[1.0]])
+    assert abs(float(loss.data) - 14.0 / 3) < 1e-12
+    loss.backward()
+    assert np.allclose(p1.grad, [[2.0], [2.0 / 3], [4.0 / 3]])
+
+
+def test_w2_zero_distance_has_zero_subgradient():
+    g = rand_gauss(Rng(24), 3, 4, requires_grad=True)
+    gaussian_w2(g, g).backward()
+    for t in (g.mu, g.logvar):
+        assert np.all(np.isfinite(t.grad))
+        assert not t.grad.any()

@@ -8,6 +8,7 @@ from zsalign import (Architecture, Model, Rng, load_checkpoint,
                      save_checkpoint)
 from zsalign.evaluation import encode_test_features
 from zsalign.model import GROUPS
+from zsalign.tensor import NonFiniteError
 
 SMALL = dict(structure_dim=8, latent_dim=4, common_hidden=6,
              dec_visual_hidden=6, dec_semantic_hidden=5)
@@ -34,6 +35,17 @@ def test_forward_shapes():
     assert m.dec_semantic(zs).shape == (6, 5)
     assert m.cls1(sx).shape == (6, 3)
     assert m.cls2(sa).shape == (6, 3)
+
+
+def test_encoders_reject_non_finite_input():
+    m = small_model()
+    x = np.zeros((2, 7), dtype=np.float32)
+    a = np.zeros((2, 5), dtype=np.float32)
+    x[1, 3] = a[0, 2] = np.nan
+    with pytest.raises(NonFiniteError, match="visual features"):
+        m.encode_visual(x)
+    with pytest.raises(NonFiniteError, match="attributes"):
+        m.encode_semantic(a)
 
 
 def test_biases_start_at_zero():
