@@ -12,7 +12,7 @@ import numpy as np
 
 from .losses import GaussianParams
 from .nn import Mlp
-from .tensor import Tensor, as_tensor, check_fields, check_finite
+from .tensor import as_tensor, check_fields, check_finite, node
 
 
 @dataclass
@@ -114,8 +114,18 @@ class Model:
         return GaussianParams(self.enc_common_mu(h), self.enc_common_logvar(h))
 
     def reparameterize(self, g, rng):
+        """A draw `mu + exp(logvar * 0.5) * noise` from `g` (Kingma & Welling,
+        arXiv 1312.6114), as one node over `(mu, logvar)`."""
         noise = rng.standard_normal(*g.mu.shape, dtype=self.dtype)
-        return g.mu + (g.logvar * 0.5).exp() * Tensor(noise)
+        std = np.exp(g.logvar.data * 0.5)
+
+        def backward(up):
+            if g.mu.requires_grad:
+                g.mu._accumulate(up)
+            if g.logvar.requires_grad:
+                g.logvar._accumulate(up * noise * std * 0.5)
+
+        return node(g.mu.data + std * noise, (g.mu, g.logvar), backward)
 
 
 # ---- checkpoint container -----------------------------------------------

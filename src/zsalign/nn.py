@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, node
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -13,6 +13,10 @@ def glorot_uniform(fan_in, fan_out, rng, dtype=np.float32):
 
 
 class Linear:
+    """`x @ w + b`, then a ReLU if asked: the tape's `@` node, and one node
+    over `(product, b)` whose backward masks the gradient once and passes it
+    to the product, and its column sums to `b`."""
+
     def __init__(self, in_dim, out_dim, rng, dtype=np.float32):
         """Glorot-uniform weights drawn from `rng`, or zeros if it is None."""
         w = (glorot_uniform(in_dim, out_dim, rng, dtype) if rng is not None
@@ -20,8 +24,21 @@ class Linear:
         self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(np.zeros((1, out_dim), dtype=dtype), requires_grad=True)
 
-    def __call__(self, x):
-        return x @ self.w + self.b
+    def __call__(self, x, relu=False):
+        z, b = x @ self.w, self.b
+        h = z.data + b.data
+        if relu:
+            mask = h > 0
+            h *= mask
+
+        def backward(g):
+            gz = g * mask if relu else g
+            if z.requires_grad:
+                z._accumulate(gz)
+            if b.requires_grad:
+                b._accumulate(gz.sum(axis=0, keepdims=True))
+
+        return node(h, (z, b), backward)
 
     def params(self):
         return [self.w, self.b]
@@ -40,19 +57,14 @@ class Mlp:
                        for i in range(len(widths) - 1)]
         self.activations = list(activations)
 
-    @property
-    def in_dim(self):
-        return self.layers[0].w.shape[0]
-
     def __call__(self, x):
         x = as_tensor(x)
-        if x.shape[1] != self.in_dim:
+        in_dim = self.layers[0].w.shape[0]
+        if x.shape[1] != in_dim:
             raise ValueError(
-                f"input has {x.shape[1]} columns, layer expects {self.in_dim}")
+                f"input has {x.shape[1]} columns, layer expects {in_dim}")
         for layer, act in zip(self.layers, self.activations):
-            x = layer(x)
-            if act == "relu":
-                x = x.relu()
+            x = layer(x, act == "relu")
         return x
 
     def params(self):

@@ -1,10 +1,10 @@
 """Minimal reverse-mode autodiff over 2-D numpy arrays.
 
-The op catalogue is what the networks use, and nothing more: `@` and `+`
-for the affine layers, ReLU, softmax, `*` and `exp` for the
-reparameterization, unary `-` and `detach`. Each loss is one node of its
-own, with its closed-form gradient (`losses.py`); every op and loss adds
-its node through `node`.
+The op catalogue is what the networks use: `@`, `+`, `*`, unary `-`,
+softmax and `detach`. A layer's bias and ReLU are one node (`nn.Linear`),
+so is a draw (`model.Model.reparameterize`), and so is each loss, with its
+closed-form gradient (`losses.py`); each adds its node through `node`. A
+broadcast operand's gradient is not summed down: `_accumulate` raises.
 """
 
 import numbers
@@ -45,16 +45,6 @@ def check_fields(obj, zero_ok=()):
             raise ValueError(f"'{name}' must be >= {low}, got {value!r}")
 
 
-def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 class Tensor:
     """A node in the computation tape wrapping a numpy array."""
 
@@ -82,7 +72,7 @@ class Tensor:
         g = g.astype(self.dtype, copy=False)
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+        self.grad += g  # raises ValueError if `self` was broadcast
 
     def backward(self):
         """Accumulate d(self)/d(param) into .grad of every reachable parameter."""
@@ -118,9 +108,9 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.shape))
+                self._accumulate(g)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.shape))
+                other._accumulate(g)
 
         return node(self.data + other.data, (self, other), backward)
 
@@ -134,9 +124,9 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.shape))
+                self._accumulate(g * other.data)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.shape))
+                other._accumulate(g * self.data)
 
         return node(self.data * other.data, (self, other), backward)
 
@@ -152,20 +142,6 @@ class Tensor:
                 other._accumulate(self.data.T @ g)
 
         return node(self.data @ other.data, (self, other), backward)
-
-    # ---- elementwise ----------------------------------------------------
-
-    def relu(self):
-        mask = self.data > 0
-        def backward(g):
-            self._accumulate(g * mask)
-        return node(self.data * mask, (self,), backward)
-
-    def exp(self):
-        out_data = np.exp(self.data)
-        def backward(g):
-            self._accumulate(g * out_data)
-        return node(out_data, (self,), backward)
 
 
 def node(data, parents, backward):

@@ -266,6 +266,14 @@ def train_epoch(model, ds, sched, epoch, rng, opt, flags=None):
     from .data import batch_iter
     sched.validate()
     flags = flags or AblationFlags()
+    # inverse CORAL takes covariances of each batch and of its unseen block
+    rows, unseen = len(ds.train_idx), len(ds.unseen_classes)
+    last = rows % sched.batch_size or sched.batch_size
+    if not flags.disable_icoral and (last < 2 or unseen < 2):
+        raise ValueError(
+            f"inverse CORAL needs at least 2 rows per batch and 2 unseen "
+            f"classes: {rows} training rows at batch_size {sched.batch_size} "
+            f"leave a last batch of {last}, with {unseen} unseen classes")
     weights = effective_weights(schedule_weights(sched, epoch), flags)
     sums = dict.fromkeys(LOSS_TERMS, 0.0)
     n_batches = 0

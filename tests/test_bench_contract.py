@@ -42,7 +42,9 @@ def test_tracer_records_a_call_for_every_wrapped_name():
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         model = Model(arch, Rng(0))
-        fit(model, ds, TrainSchedule(epochs=1, swd_directions=4), Rng(1))
+        # the harness's own span, inside which the per-batch counts are kept
+        with tracer.span("training.fit"):
+            fit(model, ds, TrainSchedule(epochs=1, swd_directions=4), Rng(1))
         czsl_eval(model, ds, counts, Rng(2))
         gzsl_eval(model, ds, counts, Rng(3))
     summary = tracer.summary()
@@ -50,6 +52,11 @@ def test_tracer_records_a_call_for_every_wrapped_name():
     names |= {"data.batch_iter", "optim.Adam.step"}
     silent = [n for n in sorted(names) if summary[f"{n}.calls"][0] < 1]
     assert silent == []
+    # the counters patch `Tensor.__init__`, `_accumulate`, `__matmul__` and
+    # `Adam.step`: a layer that bypassed `@` would read 0 matmul flops here
+    zero = [n for n in tracing.COUNTERS
+            if not (summary[n][0] > 0 and summary[f"{n}_per_batch"][0] > 0)]
+    assert zero == []
 
 
 def test_optimizer_holds_what_the_tracer_reads():

@@ -171,6 +171,18 @@ def test_eval_rejects_checkpoint_of_other_geometry(tmp_path, capsys, synth,
     assert not list(ev.glob("metrics_*.json"))
 
 
+def test_train_rejects_batches_inverse_coral_cannot_use(tmp_path, capsys):
+    # 40 training rows in batches of 13 end in a 1-row batch
+    cfg = write_cfg(tmp_path, synth={**SMALL_SYNTH, "samples_per_class": 13},
+                    schedule={"epochs": 2, "batch_size": 13,
+                              "swd_directions": 8})
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert ("40 training rows at batch_size 13 leave a last batch of 1, "
+            "with 2 unseen classes") in capsys.readouterr().err
+    assert not (out / "checkpoint.bin").exists()
+
+
 def test_train_rejects_invalid_schedule(tmp_path, capsys):
     for schedule in ({"epochs": -3}, {"inner_repeats": 0}, {"epochs": "3"}):
         cfg = write_cfg(tmp_path, schedule=schedule)

@@ -3,12 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zsalign import (Adam, GaussianParams, Mlp, Rng, Tensor, coral,
-                     finite_difference_check, gaussian_w2, icoral,
-                     kl_to_standard_normal, l1_reconstruction,
+from zsalign import (Adam, Architecture, GaussianParams, Linear, Mlp, Model,
+                     Rng, Tensor, coral, finite_difference_check, gaussian_w2,
+                     icoral, kl_to_standard_normal, l1_reconstruction,
                      sliced_wasserstein_discrepancy, softmax_cross_entropy)
 from zsalign.optim import _CHUNK
-from zsalign.tensor import NonFiniteError, softmax
+from zsalign.tensor import NonFiniteError, node, softmax
 
 
 def test_mlp_identity_relu_clamps():
@@ -110,11 +110,86 @@ def test_scalar_operand_keeps_float32(op, reference):
     assert out.tobytes() == reference(a).tobytes()
 
 
+def tiny_model():
+    return Model(Architecture(visual_dim=3, attr_dim=3, n_seen_classes=2,
+                              structure_dim=4, latent_dim=3, common_hidden=4,
+                              dec_visual_hidden=4, dec_semantic_hidden=4),
+                 Rng(0))
+
+
+def constant_linear():
+    layer = Linear(3, 3, Rng(0))
+    layer.w.requires_grad = layer.b.requires_grad = False
+    return layer
+
+
+def probe(out, g):
+    """A scalar node whose backward passes exactly `g` into `out`."""
+    return node(np.zeros((), out.dtype), (out,), lambda up: out._accumulate(g))
+
+
+def test_layer_and_draw_are_one_node_each():
+    x = Tensor(Rng(0).standard_normal(4, 3))
+    layer = Linear(3, 2, Rng(1))
+    for relu in (False, True):
+        out = layer(x, relu)
+        product, b = out._parents
+        assert b is layer.b and product._parents == (x, layer.w)
+    mu, logvar = layer(x), layer(x, relu=True)
+    draw = tiny_model().reparameterize(GaussianParams(mu, logvar), Rng(2))
+    assert draw._parents == (mu, logvar)
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_layer_gradients_bitwise_match_masked_oracle(relu):
+    rng = Rng(3)
+    x = Tensor(rng.standard_normal(6, 4))
+    layer = Linear(4, 5, rng)
+    layer.b.data[...] = rng.standard_normal(1, 5)
+    layer.b.data[0, 2] = -100.0  # every row of column 2 is below zero
+    g = rng.standard_normal(6, 5)
+    pre = x.data @ layer.w.data + layer.b.data
+    gz = g * (pre > 0) if relu else g
+    assert relu == (not gz[:, 2].any())
+    probe(layer(x, relu), g).backward()
+    assert layer.w.grad.dtype == layer.b.grad.dtype == np.float32
+    assert np.array_equal(layer.w.grad, x.data.T @ gz)
+    assert np.array_equal(layer.b.grad, gz.sum(0, keepdims=True))
+
+
+def test_draw_gradients_bitwise_match_oracle():
+    rng = Rng(4)
+    mu = Tensor(rng.standard_normal(5, 3), requires_grad=True)
+    logvar = Tensor(rng.standard_normal(5, 3), requires_grad=True)
+    g = rng.standard_normal(5, 3)
+    out = tiny_model().reparameterize(GaussianParams(mu, logvar), Rng(6))
+    noise = Rng(6).standard_normal(5, 3)
+    std = np.exp(logvar.data * np.float32(0.5))
+    assert out.data.tobytes() == (mu.data + std * noise).tobytes()
+    probe(out, g).backward()
+    assert mu.grad.tobytes() == g.tobytes()
+    assert logvar.grad.dtype == np.float32
+    assert np.array_equal(logvar.grad, ((g * noise) * std) * np.float32(0.5))
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_broadcast_operand_needing_gradient_raises(op):
+    p = Tensor(np.ones((1, 3)), requires_grad=True)
+    c = Tensor(np.ones((4, 3)))
+    out = p + c if op == "add" else p * c
+    with pytest.raises(ValueError, match="broadcast"):
+        l1_reconstruction(np.zeros((4, 3)), out).backward()
+
+
 # every node-building op and loss, over operands that need no gradient
 CONSTANT_OPS = {
     "add": lambda a, b: a + b, "neg": lambda a, b: -a,
     "mul": lambda a, b: a * b, "matmul": lambda a, b: a @ b.data.T,
-    "relu": lambda a, b: a.relu(), "exp": lambda a, b: a.exp(),
+    # the ReLU and the exp of the draw are now parts of the layer and draw
+    # nodes; each case keeps its op's name and runs the node that does it
+    "relu": lambda a, b: constant_linear()(a, relu=True),
+    "exp": lambda a, b: tiny_model().reparameterize(GaussianParams(a, b),
+                                                    Rng(0)),
     "softmax": lambda a, b: softmax(a),
     "cross_entropy": lambda a, b: softmax_cross_entropy(a, [0, 2, 1, 0]),
     "l1": lambda a, b: l1_reconstruction(a, b),

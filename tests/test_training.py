@@ -371,6 +371,53 @@ def test_ablations_change_trajectory():
     assert run(AblationFlags(disable_icoral=True)) != full
 
 
+# (n_seen, batch_size, training rows, last batch, unseen classes) of
+# 6 classes at 13 samples each: 40 rows in batches of 13 end in a 1-row
+# batch; 5 seen classes leave one unseen class; every batch has 1 row
+SHORT_FOR_ICORAL = {"last_batch": (4, 13, 40, 1, 2),
+                    "one_unseen": (5, 10, 50, 10, 1),
+                    "batch_size_1": (4, 1, 40, 1, 2)}
+
+
+def icoral_setup(n_seen, batch_size):
+    ds = synth_generate(SynthConfig(n_classes=6, n_seen=n_seen,
+                                    samples_per_class=13, visual_dim=16,
+                                    attr_dim=8, proto_dim=4, seed=0))
+    arch = Architecture(visual_dim=16, attr_dim=8, n_seen_classes=n_seen,
+                        **SMALL_ARCH)
+    sched = TrainSchedule(epochs=1, batch_size=batch_size, swd_directions=8)
+    return ds, Model(arch, Rng(0)), sched
+
+
+@pytest.mark.parametrize("flags", [AblationFlags(),
+                                   AblationFlags(disable_da_icoral=True)],
+                         ids=["full", "no_da_icoral"])
+@pytest.mark.parametrize("case", sorted(SHORT_FOR_ICORAL))
+def test_fit_rejects_batches_inverse_coral_cannot_use(monkeypatch, case,
+                                                      flags):
+    n_seen, batch_size, rows, last, unseen = SHORT_FOR_ICORAL[case]
+    ds, model, sched = icoral_setup(n_seen, batch_size)
+    calls = []
+    monkeypatch.setattr(training, "step_joint",
+                        lambda *args, **kwargs: calls.append(args))
+    message = (f"{rows} training rows at batch_size {batch_size} leave a "
+               f"last batch of {last}, with {unseen} unseen classes")
+    with pytest.raises(ValueError, match=message):
+        fit(model, ds, sched, Rng(0), flags)
+    with pytest.raises(ValueError, match=message):
+        train_epoch(model, ds, sched, 0, Rng(0), ModelOptimizer(model, sched),
+                    flags)
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", sorted(SHORT_FOR_ICORAL))
+def test_no_icoral_variant_trains_batches_inverse_coral_cannot_use(case):
+    n_seen, batch_size, _, _, _ = SHORT_FOR_ICORAL[case]
+    ds, model, sched = icoral_setup(n_seen, batch_size)
+    curves = fit(model, ds, sched, Rng(0), AblationFlags(disable_icoral=True))
+    assert len(curves) == 1 and curves[0]["icoral"] == 0.0
+
+
 VARIANTS = {"full": AblationFlags(),
             "no_sa": AblationFlags(disable_sa=True),
             "no_da_icoral": AblationFlags(disable_da_icoral=True),
