@@ -300,7 +300,7 @@ def main(argv=None):
         if args.command == "ablate":
             return cmd_ablate(cfg, seed, out)
         return 1
-    except (ConfigError, FileNotFoundError) as e:
+    except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except (ValueError, TrainingDivergence, RuntimeError) as e:

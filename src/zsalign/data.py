@@ -178,6 +178,11 @@ class SynthConfig:
             if value not in _MAPS:
                 raise ValueError(f"synth field '{name}' must be one of "
                                  f"{sorted(_MAPS)}, got {value!r}")
+        for name in ("sample_noise", "attr_noise"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:  # NaN fails too
+                raise ValueError(f"synth field '{name}' must be finite and "
+                                 f">= 0, got {value!r}")
         if self.n_seen >= self.n_classes:
             raise ValueError("need n_seen < n_classes")
         if not 0.0 < self.train_fraction < 1.0:

@@ -1,17 +1,18 @@
 """Adam with bias correction, over parameters it stores itself.
 
-An `Adam` copies its parameters, in order, into one flat `data` array and
-rebinds each parameter's `data` and `grad` to views of `data` and of a
-zeroed flat `grad` array, so the backward pass adds each leaf's gradient
-straight into `grad`. Gradients are written in place (`p.grad[...] = g`):
-a step raises `ValueError`, before any state moves, if a parameter's
-`data` or `grad` is no longer its view. The moments `m` and `v` are flat
-arrays of the same layout and of the parameters' own dtype, so a float32
-model keeps float32 optimizer state. A step walks `data`, `grad` and the
+An `Adam` copies its parameters, in order, into one flat `data` array
+and rebinds each parameter's `data` and `grad` to views of `data` and of
+a zeroed flat `grad` array, so the backward pass adds each leaf's
+gradient straight into `grad`; a step leaves it zero, and nothing else
+clears it. Gradients are written in place (`p.grad[...] = g`): a step
+raises `ValueError`, before any state moves, if a parameter's `data` or
+`grad` is no longer its view. The moments `m` and `v` are flat arrays of
+the same layout and of the parameters' own dtype, so a float32 model
+keeps float32 optimizer state. A step walks `data`, `grad` and the
 moments in `_CHUNK`-element slices; its temporaries are the gradient
 slice itself, cleared when the slice is done, and one scratch buffer
-allocated once. The result is bitwise identical to the whole-array update
-in the parameters' dtype
+allocated once. The result is bitwise identical to the whole-array
+update in the parameters' dtype
 
     m = b1 * m + (1 - b1) * g
     v = b2 * v + (1 - b2) * g * g
@@ -106,6 +107,3 @@ class Adam:
                     g[...] = 0
         except FloatingPointError as e:
             raise NonFiniteError(f"adam step {self.t}: {e}") from None
-
-    def zero_grad(self):
-        self.grad[...] = 0

@@ -1,10 +1,10 @@
 """Minimal reverse-mode autodiff over 2-D numpy arrays.
 
-The op catalogue is what the networks use: `@`, `+`, `*`, unary `-`,
-softmax and `detach`. A layer's bias and ReLU are one node (`nn.Linear`),
-so is a draw (`model.Model.reparameterize`), and so is each loss, with its
-closed-form gradient (`losses.py`); each adds its node through `node`. A
-broadcast operand's gradient is not summed down: `_accumulate` raises.
+The op catalogue is what the networks use: `@`, `+`, `*`, unary `-` and
+softmax. A layer's bias and ReLU are one node (`nn.Linear`), so is a draw
+(`model.Model.reparameterize`), and so is each loss, with its closed-form
+gradient (`losses.py`); each adds its node through `node`. A broadcast
+operand's gradient is not summed down: `_accumulate` raises.
 """
 
 import numbers
@@ -65,9 +65,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def detach(self):
-        return Tensor(self.data)
-
     def _accumulate(self, g):
         g = g.astype(self.dtype, copy=False)
         if self.grad is None:
@@ -97,9 +94,6 @@ class Tensor:
                 node._backward(node.grad)
             if node._parents:
                 node.grad = None  # free intermediate buffers
-        for node in topo:
-            if node.requires_grad and node.grad is not None:
-                check_finite(node.grad, "gradient")
 
     # ---- arithmetic -----------------------------------------------------
 

@@ -39,10 +39,10 @@ LOSS_TERMS = ("vae_x", "vae_a", "rec", "cls", "dis1", "dis2", "da", "icoral")
 
 
 class TrainingDivergence(RuntimeError):
-    """A non-finite loss term, a non-finite gradient after backward
-    (`term == "gradient"`), or an overflow in the Adam update of the
-    `ModelOptimizer` partition `partition` (`term == "update"`), in the
-    training step of `phase`."""
+    """A non-finite loss term, or a non-finite gradient (`term ==
+    "gradient"`) or Adam update (`term == "update"`) of the
+    `ModelOptimizer` partition `partition`, in the training step of
+    `phase`."""
 
     def __init__(self, term, phase, epoch=None, batch=None, partition=None):
         self.term, self.phase, self.partition = term, phase, partition
@@ -96,12 +96,12 @@ def schedule_weights(sched, epoch):
 
 class ModelOptimizer:
     """One Adam per freezing partition: the task encoders (`enc`), the
-    classifiers (`cls`) and every other group (`rest`). `step(phase)`
-    updates the partitions that phase trains, each clearing its own
-    gradients, and clears the gradients of the others, so the frozen
-    partitions stay bitwise untouched. The groups of a partition are
-    always stepped together, so they share one Adam step count. An Adam
-    step that overflows is a `TrainingDivergence` naming the partition."""
+    classifiers (`cls`) and the other groups (`rest`). It alone decides
+    what a phase trains: `begin(phase)` makes each partition the phase
+    does not train a constant on the tape (`requires_grad` off); `step`
+    checks the trained ones' gradients for finite values, steps them and
+    turns every flag back on. A divergence names the partition and may
+    leave the flags as `begin` set them."""
 
     def __init__(self, model, sched):
         rest = tuple(g for g in GROUPS if g not in ENC_GROUPS + CLS_GROUPS)
@@ -112,16 +112,24 @@ class ModelOptimizer:
                                  ("rest", rest))
         }
 
-    def step(self, phase):
+    def begin(self, phase):
         for name, adam in self.adams.items():
-            if name in PHASE_PARTITIONS[phase]:
-                try:
-                    adam.step()
-                except NonFiniteError:
-                    raise TrainingDivergence("update", phase,
-                                             partition=name) from None
-            else:
-                adam.zero_grad()
+            for p in adam.params:
+                p.requires_grad = name in PHASE_PARTITIONS[phase]
+
+    def step(self, phase):
+        names = PHASE_PARTITIONS[phase]
+        for name in names:
+            g = self.adams[name].grad  # a NaN is its max and its min
+            if not (math.isfinite(g.max()) and math.isfinite(g.min())):
+                raise TrainingDivergence("gradient", phase, partition=name)
+        for name in names:
+            try:
+                self.adams[name].step()
+            except NonFiniteError:
+                raise TrainingDivergence("update", phase,
+                                         partition=name) from None
+        self.begin("joint")  # the joint step trains every partition
 
 
 def _descend(opt, phase, terms, total):
@@ -131,10 +139,7 @@ def _descend(opt, phase, terms, total):
     for name, t in (*terms.items(), ("total", total)):
         if not math.isfinite(float(t.data)):
             raise TrainingDivergence(name, phase)
-    try:
-        total.backward()
-    except NonFiniteError:
-        raise TrainingDivergence("gradient", phase) from None
+    total.backward()
     opt.step(phase)
     return {name: float(t.data) for name, t in terms.items()}
 
@@ -200,6 +205,7 @@ def step_joint(model, batch, weights, opt, rng, with_icoral=True):
     """One Adam step of the full objective over all parameter groups;
     returns the loss terms. The adversarial discrepancy terms live in the
     two dedicated steps."""
+    opt.begin("joint")
     t = joint_terms(model, batch, weights.gamma, rng, with_icoral)
     t["rec"] = t["rec_x"] + t["rec_a"]
     aligned = t["icoral"] + t["da"] if with_icoral else t["da"]
@@ -215,8 +221,9 @@ def step_joint(model, batch, weights, opt, rng, with_icoral=True):
 def step_max_discrepancy(model, batch, weights, opt, rng, sched):
     """Update only the two classifiers: keep them accurate while pushing
     their predictions apart. Encoders and decoders are frozen."""
-    sx = model.encode_visual(Tensor(batch.x)).detach()
-    sa = model.encode_semantic(Tensor(batch.a)).detach()
+    opt.begin("max")
+    sx = model.encode_visual(Tensor(batch.x))
+    sa = model.encode_semantic(Tensor(batch.a))
     dirs = rng.unit_directions(sched.swd_directions,
                                model.arch.n_seen_classes)
     cls = classification_loss(model, sx, sa, batch.y)
@@ -229,6 +236,7 @@ def step_min_discrepancy(model, batch, weights, opt, rng, sched):
     """`sched.inner_repeats` updates of only the two task-specific encoders
     to shrink the classifier discrepancy. Classifiers are frozen."""
     for _ in range(sched.inner_repeats):
+        opt.begin("min")
         sx = model.encode_visual(Tensor(batch.x))
         sa = model.encode_semantic(Tensor(batch.a))
         dirs = rng.unit_directions(sched.swd_directions,

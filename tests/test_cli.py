@@ -114,6 +114,15 @@ def test_exit_code_1_on_config_errors(tmp_path, capsys):
                  str(tmp_path / "o")]) == 1
     assert "bogus_field" in capsys.readouterr().err
 
+    # a path that names the wrong kind of file
+    good = write_cfg(tmp_path)
+    assert main(["eval", "--config", good, "--out", str(tmp_path / "o"),
+                 "--checkpoint", str(tmp_path)]) == 1
+    assert main(["train", "--config", str(tmp_path), "--out",
+                 str(tmp_path / "o")]) == 1
+    assert main(["synth", "--config", good, "--out", good]) == 1
+    assert capsys.readouterr().err.count("config error: ") == 3
+
 
 def test_exit_code_1_on_bad_usage(capsys):
     assert main(["not-a-verb"]) == 1
@@ -212,6 +221,10 @@ def test_train_rejects_invalid_schedule(tmp_path, capsys):
     ("train", "model", {"latent_dim": True}),
     ("train", "synth", {"visual_map": "cube"}),
     ("train", "synth", {"sample_noise": "x"}),
+    ("train", "synth", {"sample_noise": float("nan")}),
+    ("train", "synth", {"sample_noise": -0.5}),
+    ("train", "synth", {"attr_noise": -3.0}),
+    ("synth", "synth", {"attr_noise": float("inf")}),
 ])
 def test_invalid_config_section_exits_1(tmp_path, capsys, verb, section,
                                         values):
@@ -313,16 +326,28 @@ def test_gradcheck_detects_injected_fault(scale_backward):
     assert all(passed for name, passed in by_name.items() if name != "da")
 
 
-def test_gradient_check_demo():
+# each demo's last line; demos/03_evaluation.py takes about 80 s, so no
+# test runs it
+DEMO_LAST_LINES = {
+    "01_synthetic_data": "container round trip bitwise equal: True",
+    "02_training_curves": "full per-epoch table in "
+                          "/tmp/zsalign_demo_curves.csv",
+    "04_gradient_check": "with an injected fault in 'da': detected",
+}
+
+
+@pytest.mark.parametrize("script", DEMO_LAST_LINES)
+def test_demo_runs(script):
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, str(root / "demos" / "04_gradient_check.py")],
+        [sys.executable, str(root / "demos" / f"{script}.py")],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert "9/9 terms passed" in proc.stdout
-    assert "injected fault in 'da': detected" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == DEMO_LAST_LINES[script]
+    if script == "04_gradient_check":
+        assert "9/9 terms passed" in proc.stdout
 
 
 def test_ablate_writes_table(tmp_path, capsys):

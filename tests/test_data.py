@@ -74,6 +74,11 @@ def test_synth_config_validation():
         small_cfg(train_fraction=1.0).validate()
     with pytest.raises(ValueError):
         small_cfg(proto_dim=0).validate()
+    for name, value in (("sample_noise", float("nan")), ("sample_noise", -0.5),
+                        ("attr_noise", -3.0), ("attr_noise", float("inf"))):
+        with pytest.raises(ValueError, match=f"'{name}' must be finite"):
+            small_cfg(**{name: value}).validate()
+    small_cfg(sample_noise=0.0, attr_noise=0.0).validate()  # no noise at all
 
 
 # ---- on-disk round trip ---------------------------------------------------

@@ -7,8 +7,8 @@ from zsalign import (AblationFlags, Adam, Architecture, Model, Rng,
                      step_min_discrepancy, synth_generate, write_curves)
 from zsalign import gradcheck, losses, training
 from zsalign.training import (CLS_GROUPS, CURVES_HEADER, ENC_GROUPS,
-                              ModelOptimizer, TrainingDivergence, joint_terms,
-                              train_epoch)
+                              PHASE_PARTITIONS, ModelOptimizer,
+                              TrainingDivergence, joint_terms, train_epoch)
 from zsalign.model import GROUPS
 
 SMALL_ARCH = dict(structure_dim=12, latent_dim=4, common_hidden=8,
@@ -114,8 +114,9 @@ def test_step_accounting_per_epoch():
 
 
 class PerGroupOptimizer:
-    """Reference for ModelOptimizer: one Adam per parameter group, each
-    phase stepping the groups it trains."""
+    """Reference for ModelOptimizer: one Adam per parameter group. Each
+    phase makes the groups it does not train constants on the tape, steps
+    the groups it trains, and then makes every group trainable again."""
 
     PHASE_GROUPS = {"joint": GROUPS, "max": CLS_GROUPS, "min": ENC_GROUPS}
 
@@ -125,12 +126,15 @@ class PerGroupOptimizer:
                     beta1=sched.adam_beta1, beta2=sched.adam_beta2)
             for g in GROUPS}
 
-    def step(self, phase):
+    def begin(self, phase):
         for g, adam in self.adams.items():
-            if g in self.PHASE_GROUPS[phase]:
-                adam.step()
-            else:
-                adam.zero_grad()
+            for p in adam.params:
+                p.requires_grad = g in self.PHASE_GROUPS[phase]
+
+    def step(self, phase):
+        for g in self.PHASE_GROUPS[phase]:
+            self.adams[g].step()
+        self.begin("joint")
 
 
 def test_partition_optimizer_bitwise_matches_per_group_oracle():
@@ -144,6 +148,18 @@ def test_partition_optimizer_bitwise_matches_per_group_oracle():
                for b in batch_iter(ds, sched.batch_size, Rng(epoch))][:24]
     phases = Rng(7).integers(0, 3, size=len(batches))
     start = model.param_bytes()
+    real_step, stepped = opt.step, []
+
+    def checked_step(phase):
+        # a partition the phase does not train never receives a gradient
+        for name, adam in opt.adams.items():
+            if name not in PHASE_PARTITIONS[phase]:
+                assert not adam.grad.any(), (phase, name)
+        stepped.append(phase)
+        real_step(phase)
+        assert all(p.requires_grad for p in model.all_params()), phase
+
+    opt.step = checked_step
     for i, (phase, batch) in enumerate(zip(phases, batches)):
         for m, o in ((model, opt), (ref_model, ref_opt)):
             if phase == 0:
@@ -156,6 +172,7 @@ def test_partition_optimizer_bitwise_matches_per_group_oracle():
         # every phase step leaves every gradient clear, frozen ones too
         assert not any(a.grad.any() for a in opt.adams.values()), f"step {i}"
     assert len(batches) == 24 and set(phases) == {0, 1, 2}
+    assert set(stepped) == {"joint", "max", "min"}
     assert model.param_bytes() != start
 
 
@@ -233,6 +250,8 @@ def test_fit_returns_full_curves():
             assert key in row
     assert curves[0]["gamma"] == 0.0
     assert abs(curves[2]["gamma"] - 2 * 0.0026) < 1e-12
+    # every phase step hands each parameter back needing a gradient
+    assert all(p.requires_grad for p in model.all_params())
 
 
 def test_fit_deterministic():
@@ -477,14 +496,46 @@ def test_step_joint_reports_builder_terms(with_icoral):
                                         ("sliced_wasserstein_discrepancy",
                                          "max")])
 def test_non_finite_gradient_is_a_divergence_naming_the_step(
-        scale_backward, loss, phase):
+        monkeypatch, scale_backward, loss, phase):
     ds, model, sched = small_setup()
     sched.epochs = 1
     scale_backward(losses, loss, np.inf)
+    real_step, calls = ModelOptimizer.step, []
+
+    def recording(self, step_phase):
+        calls.append((self, {name: (a.t, a.data.copy(), a.m.copy())
+                             for name, a in self.adams.items()}))
+        real_step(self, step_phase)
+
+    monkeypatch.setattr(ModelOptimizer, "step", recording)
     with pytest.raises(TrainingDivergence,
                        match=f"non-finite gradient in the {phase} step") as e:
         fit(model, ds, sched, Rng(0))
     assert (e.value.epoch, e.value.batch) == (0, 0)
+    # the first partition the step trains whose gradient is non-finite
+    assert e.value.partition == {"joint": "enc", "max": "cls"}[phase]
+    # checked before any partition is stepped: none moved
+    opt, before = calls[-1]
+    for name, adam in opt.adams.items():
+        t, data, m = before[name]
+        assert adam.t == t, name
+        assert np.array_equal(adam.data, data), name
+        assert np.array_equal(adam.m, m), name
+
+
+def test_non_finite_gradient_in_any_trained_partition_moves_none():
+    # only the last partition the joint step trains holds a NaN
+    ds, model, sched = small_setup()
+    opt = ModelOptimizer(model, sched)
+    opt.adams["enc"].grad[...] = 1.0
+    opt.adams["rest"].grad[0] = np.nan
+    before = model.param_bytes()
+    with pytest.raises(TrainingDivergence, match="non-finite gradient in "
+                       "the joint step") as e:
+        opt.step("joint")
+    assert (e.value.term, e.value.partition) == ("gradient", "rest")
+    assert model.param_bytes() == before
+    assert [a.t for a in opt.adams.values()] == [0, 0, 0]
 
 
 def test_adam_overflow_is_a_divergence_naming_the_partition():
