@@ -5,6 +5,9 @@ map of per-class prototypes, class attributes a noiseless softplus map of
 the same prototypes through a different random projection.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from zsalign import SynthConfig, synth_generate, save_dataset, load_dataset
@@ -35,7 +38,8 @@ gaps = [np.abs(ds.attributes[i] - ds.attributes[j]).max()
 print(f"smallest attribute gap between two classes: {min(gaps):.3f}")
 
 # round trip through the on-disk container
-save_dataset(ds, "/tmp/zsalign_demo_dataset")
-back = load_dataset("/tmp/zsalign_demo_dataset")
+with tempfile.TemporaryDirectory() as tmp:
+    save_dataset(ds, os.path.join(tmp, "dataset"))
+    back = load_dataset(os.path.join(tmp, "dataset"))
 print("container round trip bitwise equal:",
       np.array_equal(back.features, ds.features))

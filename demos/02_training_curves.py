@@ -6,6 +6,9 @@ a classifier step that pushes the two classifiers' predictions apart, and
 an encoder step that pulls them back together.
 """
 
+import os
+import tempfile
+
 from zsalign import (Architecture, Model, Rng, SynthConfig, TrainSchedule,
                      fit, synth_generate, write_curves)
 
@@ -35,5 +38,6 @@ first, last = curves[0], curves[-1]
 print(f"\nreconstruction: {first['vae_x']:.2f} -> {last['vae_x']:.2f}")
 print(f"classification: {first['cls']:.3f} -> {last['cls']:.3f}")
 
-write_curves(curves, "/tmp/zsalign_demo_curves.csv")
-print("full per-epoch table in /tmp/zsalign_demo_curves.csv")
+path = os.path.join(tempfile.mkdtemp(prefix="zsalign_demo_"), "curves.csv")
+write_curves(curves, path)
+print(f"full per-epoch table in {path}")

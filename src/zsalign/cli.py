@@ -67,6 +67,16 @@ def load_config(path):
     return cfg
 
 
+def _check_out(out):
+    """Refuse, before any work, an output path that cannot become a
+    directory: an existing file, or a path under one."""
+    head = os.path.abspath(out)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise ConfigError(f"output path is a file or lies under one: {out}")
+
+
 def _section(cfg, key, valid):
     sub = cfg.get(key, {})
     unknown = set(sub) - set(valid)
@@ -113,38 +123,49 @@ def config_hash(cfg):
 
 
 def write_manifest(out, cfg, seed):
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
     doc = {
         "config_hash": config_hash(cfg),
         "seed": seed,
         "package_version": __version__,
         "numpy_version": np.__version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        # the bytes a run writes are pinned at a fixed BLAS and thread count
+        "blas": blas.get("name", "unknown"),
+        "blas_version": blas.get("version", "unknown"),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "nproc": len(os.sched_getaffinity(0)),
     }
     with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
 
 
-def build_model(cfg, ds, seed):
-    arch = _take(cfg, "model", Architecture, **dataset_dims(ds))
-    return Model(arch, Rng(seed).spawn(1)[0])
+def run_stream(seed, purpose):
+    """A run's stream for `purpose`: child 0 or 1 of the seed's `Rng`, or a
+    child of its child 2. A dataset synthesized from the same seed draws
+    from children 0-3 themselves, which a run only ever spawns from."""
+    init, train, evaluation = Rng(seed).spawn(3)
+    czsl, gzsl, latents = evaluation.spawn(3)
+    return {"init": init, "train": train, "czsl": czsl, "gzsl": gzsl,
+            "latents": latents}[purpose]
 
 
-def _evaluate(ev, model, ds, rng, seed):
-    """(CZSL report, GZSL report) of `model` under the `eval` section `ev`,
-    from the first two children of `rng`."""
-    r_czsl, r_gzsl = rng.spawn(2)
+def _evaluate(ev, model, ds, seed):
+    """(CZSL report, GZSL report) of `model` under the `eval` section `ev`."""
     rep_c = czsl_eval(model, ds, EvalCounts(unseen=ev.czsl_unseen, seen=0),
-                      r_czsl, seed=seed, use_mean=ev.use_mean)
+                      run_stream(seed, "czsl"), seed, use_mean=ev.use_mean)
     rep_g = gzsl_eval(model, ds,
                       EvalCounts(unseen=ev.gzsl_unseen, seen=ev.gzsl_seen),
-                      r_gzsl, seed=seed, use_mean=ev.use_mean)
+                      run_stream(seed, "gzsl"), seed, use_mean=ev.use_mean)
     return rep_c, rep_g
 
 
 # ---- commands ------------------------------------------------------------
 
 def cmd_synth(cfg, seed, out):
-    os.makedirs(out, exist_ok=True)
     ds = synth_generate(_synth_config(cfg, seed))
     target = os.path.join(out, "dataset")
     save_dataset(ds, target)
@@ -157,16 +178,16 @@ def cmd_synth(cfg, seed, out):
 
 def _train_one(cfg, ds, seed, flags):
     sched = _take(cfg, "schedule", TrainSchedule)
-    model = build_model(cfg, ds, seed)
-    curves = fit(model, ds, sched, Rng(seed).spawn(2)[1], flags)
-    return model, curves
+    arch = _take(cfg, "model", Architecture, **dataset_dims(ds))
+    model = Model(arch, run_stream(seed, "init"))
+    return model, fit(model, ds, sched, run_stream(seed, "train"), flags)
 
 
 def cmd_train(cfg, seed, out):
-    os.makedirs(out, exist_ok=True)
     ds = resolve_dataset(cfg, seed)
     flags = _take(cfg, "ablation", AblationFlags)
     model, curves = _train_one(cfg, ds, seed, flags)
+    os.makedirs(out, exist_ok=True)
     save_checkpoint(model, os.path.join(out, "checkpoint.bin"))
     write_curves(curves, os.path.join(out, "curves.csv"))
     write_manifest(out, cfg, seed)
@@ -179,33 +200,31 @@ def cmd_train(cfg, seed, out):
 
 
 def cmd_eval(cfg, seed, out, checkpoint):
-    os.makedirs(out, exist_ok=True)
     ds = resolve_dataset(cfg, seed)
+    ev = _take(cfg, "eval", EvalConfig)
     model = load_checkpoint(checkpoint)
     try:
         check_fits_dataset(model.arch, ds)
     except ValueError as e:
         raise ConfigError(f"checkpoint does not fit the dataset: {e}") from e
-    rng = Rng(seed)
-    rep_c, rep_g = _evaluate(_take(cfg, "eval", EvalConfig), model, ds, rng,
-                             seed)
+    rep_c, rep_g = _evaluate(ev, model, ds, seed)
+    os.makedirs(out, exist_ok=True)
     for name, rep in (("metrics_czsl.json", rep_c), ("metrics_gzsl.json",
                                                      rep_g)):
         with open(os.path.join(out, name), "w", encoding="utf-8") as f:
             f.write(rep.to_json() + "\n")
-    # the third child of rng, after the two that _evaluate took
-    _dump_latents(model, ds, rng.spawn(1)[0],
-                  os.path.join(out, "latents.csv"))
+    _dump_latents(model, ds, seed, os.path.join(out, "latents.csv"))
     print(f"CZSL acc {rep_c.acc:.2f} | GZSL U {rep_g.u:.2f} S {rep_g.s:.2f} "
           f"H {rep_g.h:.2f}")
     print(f"reports in {out}")
     return 0
 
 
-def _dump_latents(model, ds, rng, path):
+def _dump_latents(model, ds, seed, path):
     """Raw latent embeddings of all test samples, for external plotting."""
     idx = np.concatenate([ds.test_seen_idx, ds.test_unseen_idx])
-    z = encode_test_features(model, ds.features[idx], rng)
+    z = encode_test_features(model, ds.features[idx],
+                             run_stream(seed, "latents"))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         dims = ",".join(f"z{j}" for j in range(z.shape[1]))
         f.write(f"sample,class,{dims}\n")
@@ -234,7 +253,6 @@ ABLATION_VARIANTS = (
 
 
 def cmd_ablate(cfg, seed, out):
-    os.makedirs(out, exist_ok=True)
     seeds = cfg.get("seeds", [seed + i for i in range(5)])
     ev = _take(cfg, "eval", EvalConfig)
     rows = []
@@ -242,10 +260,11 @@ def cmd_ablate(cfg, seed, out):
         for s in seeds:
             ds = resolve_dataset(cfg, s)
             model, _ = _train_one(cfg, ds, s, flags)
-            rep_c, rep_g = _evaluate(ev, model, ds, Rng(s + 1_000_003), s)
+            rep_c, rep_g = _evaluate(ev, model, ds, s)
             rows.append((name, s, rep_g.u, rep_g.s, rep_g.h, rep_c.acc))
             print(f"{name} seed {s}: U {rep_g.u:.2f} S {rep_g.s:.2f} "
                   f"H {rep_g.h:.2f} Acc {rep_c.acc:.2f}")
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "ablation.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("variant,seed,u,s,h,acc\n")
@@ -289,6 +308,8 @@ def main(argv=None):
         if seed < 0:
             raise ConfigError(f"'seed' must be >= 0, got {seed}")
         out = args.out if args.out is not None else cfg.get("out", "runs/out")
+        if args.command != "gradcheck":
+            _check_out(out)
         if args.command == "synth":
             return cmd_synth(cfg, seed, out)
         if args.command == "train":

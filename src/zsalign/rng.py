@@ -12,7 +12,6 @@ class Rng:
     def __init__(self, seed=None, _seq=None):
         if _seq is None:
             _seq = np.random.SeedSequence(seed)
-        self.seed = seed
         self._seq = _seq
         self._gen = np.random.Generator(np.random.PCG64(_seq))
 

@@ -93,7 +93,11 @@ def test_train_ablation_flag_zeroes_adversarial_columns(tmp_path):
         assert float(cells[i2]) == 0.0
 
 
-def test_exit_code_1_on_config_errors(tmp_path, capsys):
+def test_exit_code_1_on_config_errors(tmp_path, capsys, monkeypatch):
+    import zsalign.cli
+    fits = []
+    monkeypatch.setattr(zsalign.cli, "fit",
+                        lambda *args, **kwargs: fits.append(args))
     missing = str(tmp_path / "nope.json")
     assert main(["train", "--config", missing, "--out",
                  str(tmp_path / "o")]) == 1
@@ -118,10 +122,23 @@ def test_exit_code_1_on_config_errors(tmp_path, capsys):
     good = write_cfg(tmp_path)
     assert main(["eval", "--config", good, "--out", str(tmp_path / "o"),
                  "--checkpoint", str(tmp_path)]) == 1
+    assert not (tmp_path / "o").exists()
+    assert main(["eval", "--config", good, "--out", str(tmp_path / "o"),
+                 "--checkpoint", str(tmp_path / "nope.bin")]) == 1
+    assert not (tmp_path / "o").exists()
     assert main(["train", "--config", str(tmp_path), "--out",
                  str(tmp_path / "o")]) == 1
+    # an output path that is a file, or under one, is refused before
+    # anything is trained
+    before = pathlib.Path(good).read_bytes()
     assert main(["synth", "--config", good, "--out", good]) == 1
-    assert capsys.readouterr().err.count("config error: ") == 3
+    assert main(["train", "--config", good, "--out", good]) == 1
+    assert main(["train", "--config", good, "--out",
+                 os.path.join(good, "run")]) == 1
+    assert main(["ablate", "--config", good, "--out", good]) == 1
+    assert pathlib.Path(good).read_bytes() == before
+    assert fits == []
+    assert capsys.readouterr().err.count("config error: ") == 7
 
 
 def test_exit_code_1_on_bad_usage(capsys):
@@ -232,6 +249,7 @@ def test_invalid_config_section_exits_1(tmp_path, capsys, verb, section,
     out = tmp_path / "run"
     assert main([verb, "--config", cfg, "--out", str(out)]) == 1
     assert f"'{section}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb,key,value", [
@@ -262,6 +280,7 @@ def test_invalid_top_level_config_exits_1(tmp_path, capsys, monkeypatch,
                  "--out", str(tmp_path / "run")]) == 1
     assert f"'{key}'" in capsys.readouterr().err
     assert fits == []
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("verb,flags,extra,key", [
@@ -281,6 +300,7 @@ def test_negative_seed_exits_1(tmp_path, capsys, monkeypatch, verb, flags,
                 + flags) == 1
     assert f"'{key}'" in capsys.readouterr().err
     assert fits == []
+    assert not (tmp_path / "run").exists()
 
 
 def test_load_config_accepts_every_top_level_key(tmp_path):
@@ -326,26 +346,34 @@ def test_gradcheck_detects_injected_fault(scale_backward):
     assert all(passed for name, passed in by_name.items() if name != "da")
 
 
-# each demo's last line; demos/03_evaluation.py takes about 80 s, so no
-# test runs it
+# each demo's last line (for 02 its start, which the path of the file the
+# demo wrote under TMPDIR follows); demos/03_evaluation.py takes about 80 s,
+# so no test runs it
 DEMO_LAST_LINES = {
     "01_synthetic_data": "container round trip bitwise equal: True",
-    "02_training_curves": "full per-epoch table in "
-                          "/tmp/zsalign_demo_curves.csv",
+    "02_training_curves": "full per-epoch table in ",
     "04_gradient_check": "with an injected fault in 'da': detected",
 }
 
 
 @pytest.mark.parametrize("script", DEMO_LAST_LINES)
-def test_demo_runs(script):
+def test_demo_runs(script, tmp_path):
     root = pathlib.Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, str(root / "demos" / f"{script}.py")],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == DEMO_LAST_LINES[script]
+    last = proc.stdout.splitlines()[-1]
+    if script == "02_training_curves":
+        start = DEMO_LAST_LINES[script]
+        assert last.startswith(start)
+        written = pathlib.Path(last[len(start):])
+        assert written.is_file()
+        assert written.resolve().is_relative_to(tmp_path.resolve())
+    else:
+        assert last == DEMO_LAST_LINES[script]
     if script == "04_gradient_check":
         assert "9/9 terms passed" in proc.stdout
 
@@ -362,3 +390,104 @@ def test_ablate_writes_table(tmp_path, capsys):
     for v in variants:
         assert sum(1 for ln in lines[1:] if ln.startswith(v + ",")) == 3
         assert any(ln.startswith(f"{v},mean,") for ln in lines[1:])
+
+
+def test_train_and_eval_draw_each_stream_for_one_purpose(tmp_path,
+                                                         monkeypatch):
+    import zsalign.cli
+    from zsalign.rng import Rng
+    # (entropy, spawn key) of each stream that draws -> what it drew for
+    purposes, active = {}, []
+
+    def drawing(real):
+        def draw(self, *args, **kwargs):
+            key = (self._seq.entropy, self._seq.spawn_key)
+            purposes.setdefault(key, set()).add(
+                active[-1] if active else None)
+            return real(self, *args, **kwargs)
+        return draw
+
+    for method in ("standard_normal", "unit_directions", "uniform",
+                   "permutation", "integers"):
+        monkeypatch.setattr(Rng, method, drawing(getattr(Rng, method)))
+
+    def serving(purpose, real):
+        def call(*args, **kwargs):
+            active.append(purpose)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                active.pop()
+        return call
+
+    for name, purpose in (("synth_generate", "dataset"), ("Model", "init"),
+                          ("fit", "training"), ("czsl_eval", "czsl"),
+                          ("gzsl_eval", "gzsl"), ("_dump_latents", "latents")):
+        monkeypatch.setattr(zsalign.cli, name,
+                            serving(purpose, getattr(zsalign.cli, name)))
+    # no 'seed' in 'synth': the dataset's streams hang off the run seed
+    synth = {k: v for k, v in SMALL_SYNTH.items() if k != "seed"}
+    cfg = write_cfg(tmp_path, synth=synth)
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert main(["eval", "--config", cfg, "--seed", "1",
+                 "--out", str(tmp_path / "ev"),
+                 "--checkpoint", str(out / "checkpoint.bin")]) == 0
+    assert set().union(*purposes.values()) == {
+        "dataset", "init", "training", "czsl", "gzsl", "latents"}
+    shared = {key: sorted(p) for key, p in purposes.items() if len(p) > 1}
+    assert shared == {}
+
+
+def test_ablate_row_is_train_then_eval(tmp_path):
+    # at 4 epochs the no_icoral row differs from the full model's
+    schedule = {"epochs": 4, "batch_size": 16, "swd_directions": 8}
+    out = tmp_path / "abl"
+    assert main(["ablate", "--config",
+                 write_cfg(tmp_path, seeds=[1], schedule=schedule),
+                 "--out", str(out)]) == 0
+    rows = {line.split(",")[0]: line for line in
+            (out / "ablation.csv").read_text().split() if ",1," in line}
+    row = rows["no_icoral"]
+    assert row.split(",")[2:] != rows["full"].split(",")[2:]
+
+    cfg = write_cfg(tmp_path, "one.json", schedule=schedule,
+                    ablation={"disable_icoral": True})
+    run = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--seed", "1",
+                 "--out", str(run)]) == 0
+    ev = tmp_path / "ev"
+    assert main(["eval", "--config", cfg, "--seed", "1", "--out", str(ev),
+                 "--checkpoint", str(run / "checkpoint.bin")]) == 0
+    g = json.loads((ev / "metrics_gzsl.json").read_text())
+    c = json.loads((ev / "metrics_czsl.json").read_text())
+    assert row == (f"no_icoral,1,{g['u']:.2f},{g['s']:.2f},{g['h']:.2f},"
+                   f"{c['acc']:.2f}")
+
+
+def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the acceptance geometry, whose products keep their bits at any
+    # OpenBLAS thread count (README "Determinism")
+    from test_acceptance import BENCH_ARCH, BENCH_SYNTH
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "synth": BENCH_SYNTH, "model": BENCH_ARCH,
+        "schedule": {"epochs": 3, "batch_size": 50, "swd_directions": 32}}))
+    root = pathlib.Path(__file__).resolve().parents[1]
+    checkpoints = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "zsalign.cli", "train", "--config",
+             str(cfg), "--seed", "1", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["openblas_num_threads"] == threads
+        assert {"blas", "blas_version", "nproc"} <= set(manifest)
+        checkpoints.append((out / "checkpoint.bin").read_bytes())
+    assert checkpoints[0] == checkpoints[1]

@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zsalign import (Rng, SynthConfig, ZslDataset, batch_iter, check_finite,
-                     load_dataset, minmax_features, save_dataset,
-                     synth_generate)
+from zsalign import (Architecture, Model, Rng, SynthConfig, TrainSchedule,
+                     ZslDataset, batch_iter, check_finite, fit, load_dataset,
+                     minmax_features, save_dataset, synth_generate)
 from zsalign.data import INDEX_FIELDS
 
 
@@ -404,8 +404,30 @@ def test_batch_iter_validation():
 
 
 def test_unseen_attr_block_capped():
+    # 70 unseen classes: each batch carries the attributes of 64 of them
     cfg = small_cfg(n_classes=80, n_seen=10, samples_per_class=4)
     ds = synth_generate(cfg)
-    for batch in batch_iter(ds, 16, Rng(0)):
-        assert batch.unseen_attrs.shape[0] == 64
-        break
+    unseen = ds.attributes[ds.unseen_classes]
+
+    def blocks(seed):
+        return [b.unseen_attrs for b in batch_iter(ds, 16, Rng(seed))]
+
+    first = blocks(0)
+    assert len(first) == 2
+    for block in first:
+        # each row is exactly one unseen class's attribute vector
+        hits = (block[:, None, :] == unseen[None]).all(axis=2)
+        assert (hits.sum(axis=1) == 1).all()
+        classes = ds.unseen_classes[hits.argmax(axis=1)]
+        assert len(classes) == 64
+        assert (np.diff(classes) > 0).all()  # distinct, in ascending order
+    assert all(np.array_equal(a, b) for a, b in zip(first, blocks(0)))
+
+    arch = Architecture(visual_dim=ds.visual_dim, attr_dim=ds.attr_dim,
+                        n_seen_classes=len(ds.seen_classes), structure_dim=12,
+                        latent_dim=4, common_hidden=8, dec_visual_hidden=8,
+                        dec_semantic_hidden=6)
+    (row,) = fit(Model(arch, Rng(1)), ds,
+                 TrainSchedule(epochs=1, batch_size=16, swd_directions=8),
+                 Rng(2))
+    assert all(np.isfinite(v) for v in row.values())
