@@ -110,9 +110,11 @@ def save_dataset(ds, path):
                for k in INDEX_FIELDS}}
     with open(os.path.join(path, "meta.json"), "w", encoding="utf-8") as f:
         json.dump(meta, f, sort_keys=True)
-    ds.features.astype("<f4").tofile(os.path.join(path, "features.bin"))
-    ds.attributes.astype("<f4").tofile(os.path.join(path, "attributes.bin"))
-    ds.labels.astype("<u4").tofile(os.path.join(path, "labels.bin"))
+    # an array already in its file's dtype is written without a copy
+    for name, arr, dtype in (("features", ds.features, "<f4"),
+                             ("attributes", ds.attributes, "<f4"),
+                             ("labels", ds.labels, "<u4")):
+        arr.astype(dtype, copy=False).tofile(os.path.join(path, name + ".bin"))
 
 
 def load_dataset(path):

@@ -132,7 +132,9 @@ class Model:
 #
 # Layout: 8-byte little-endian header length, JSON header (architecture +
 # manifest of parameter names/shapes), then raw little-endian float32 data
-# in manifest order. Write -> read round-trips bitwise.
+# in manifest order. Write -> read round-trips bitwise. A float32
+# parameter is written from its own buffer and read straight into one,
+# so neither direction copies it.
 
 MAGIC_VERSION = 1
 
@@ -159,8 +161,8 @@ def save_checkpoint(model, path):
         f.write(struct.pack("<Q", len(hbytes)))
         f.write(hbytes)
         for _, p in named:
-            f.write(np.ascontiguousarray(
-                p.data.astype("<f4", copy=False)).tobytes())
+            f.write(memoryview(np.ascontiguousarray(
+                p.data.astype("<f4", copy=False))))
 
 
 def load_checkpoint(path):

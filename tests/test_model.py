@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 
@@ -190,6 +191,16 @@ MALFORMED_HEADERS = [
 ]
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def test_checkpoint_load_holds_parameters_once(tmp_path):
     # the file's bytes go straight into the parameters, not through a copy
     arch = Architecture(visual_dim=512, attr_dim=64, n_seen_classes=10,
@@ -200,14 +211,38 @@ def test_checkpoint_load_holds_parameters_once(tmp_path):
     save_checkpoint(m, path)
     nbytes = len(m.param_bytes())
     del m
-    tracemalloc.start()
-    try:
-        loaded = load_checkpoint(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    loaded, peak = _traced_peak(lambda: load_checkpoint(path))
     assert len(loaded.param_bytes()) == nbytes
     assert peak < 1.5 * nbytes
+
+
+PAPER_ARCH = Architecture(visual_dim=2048, attr_dim=312, n_seen_classes=150)
+
+
+def test_model_init_holds_parameters_once():
+    # each weight is drawn in blocks straight into its own array
+    m, peak = _traced_peak(lambda: Model(PAPER_ARCH, Rng(0)))
+    nbytes = sum(p.data.nbytes for p in m.all_params())
+    assert peak < 1.1 * nbytes
+
+
+def test_checkpoint_save_copies_no_parameter(tmp_path):
+    m = Model(PAPER_ARCH, Rng(0))
+    nbytes = sum(p.data.nbytes for p in m.all_params())
+    _, peak = _traced_peak(lambda: save_checkpoint(m, tmp_path / "c.bin"))
+    assert peak < 0.05 * nbytes
+
+
+def test_initial_checkpoint_bytes_pinned(tmp_path):
+    # bench_fit's Architecture; a change to the initial weights' bits, to
+    # the order they are drawn in or to the file layout changes the digest
+    arch = Architecture(visual_dim=256, attr_dim=32, n_seen_classes=15,
+                        structure_dim=128, latent_dim=64, common_hidden=64,
+                        dec_visual_hidden=64, dec_semantic_hidden=32)
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(Model(arch, Rng(1)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "dd2d1f1645cc6410fc6c57b72f2eb6414cfd945789be59b90b30911ca1a60c36")
 
 
 def test_latent_helpers_mean_vs_sample():
