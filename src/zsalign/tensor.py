@@ -5,6 +5,13 @@ softmax. A layer's bias and ReLU are one node (`nn.Linear`), so is a draw
 (`model.Model.reparameterize`), and so is each loss, with its closed-form
 gradient (`losses.py`); each adds its node through `node`. A broadcast
 operand's gradient is not summed down: `_accumulate` raises.
+
+Contributions to a gradient are added by `_accumulate`, except one: a
+product's backward writes its right operand's (a layer's weight's)
+gradient straight into a slot whose owner has marked it known zero
+(`_zero_grad`; `optim.Adam` marks its parameters' slots, see there), so
+a weight's first gradient is formed in its slot, with no weight-sized
+temporary. The write and every `_accumulate` clear the mark.
 """
 
 import numbers
@@ -48,7 +55,8 @@ def check_fields(obj, zero_ok=()):
 class Tensor:
     """A node in the computation tape wrapping a numpy array."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "_zero_grad")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
@@ -56,6 +64,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = parents
         self._backward = backward
+        self._zero_grad = None  # `grad`, while its owner knows it is all zero
 
     @property
     def shape(self):
@@ -70,6 +79,16 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g  # raises ValueError if `self` was broadcast
+        self._zero_grad = None
+
+    def _accumulate_product(self, a, b):
+        """`_accumulate(a @ b)`, except that a slot known to be all zero
+        takes the product itself, written in place: no temporary."""
+        if self.grad is not None and self._zero_grad is self.grad:
+            np.matmul(a, b, out=self.grad)
+            self._zero_grad = None
+        else:
+            self._accumulate(a @ b)
 
     def backward(self):
         """Accumulate d(self)/d(param) into .grad of every reachable parameter."""
@@ -133,7 +152,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g @ other.data.T)
             if other.requires_grad:
-                other._accumulate(self.data.T @ g)
+                other._accumulate_product(self.data.T, g)
 
         return node(self.data @ other.data, (self, other), backward)
 

@@ -312,9 +312,9 @@ class WholeArrayAdam:
 ORACLE_CASES = {
     # one weight spanning three full chunks and a 5-element tail
     "one_large": ([(3 * _CHUNK + 5, 1)], np.float32),
-    # 34 (w, b) pairs of 500 elements: many tensors per chunk, and pair 32's
-    # weight straddles the first chunk boundary
-    "many_small": ([(9, 50), (1, 50)] * 34, np.float32),
+    # (w, b) pairs of 500 elements: many tensors per chunk, and the weight
+    # of pair _CHUNK // 500 straddles the first chunk boundary
+    "many_small": ([(9, 50), (1, 50)] * (_CHUNK // 500 + 2), np.float32),
     "float64": ([(_CHUNK + 3, 1), (5, 5), (1, 5)], np.float64),
 }
 
@@ -354,6 +354,128 @@ def test_adam_step_allocates_no_whole_array_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak           # one whole-array temporary: 4 MB
+
+
+def _ce_through(w, xs):
+    """Sum over `xs` of the cross-entropy of `x @ w`: the tape uses `w`
+    once per input, so its gradient has `len(xs)` contributions."""
+    labels = [0, 1, 2, 3]
+    total = softmax_cross_entropy(Tensor(xs[0]) @ w, labels)
+    for x in xs[1:]:
+        total = total + softmax_cross_entropy(Tensor(x) @ w, labels)
+    return total
+
+
+@pytest.mark.parametrize("uses", [1, 2, 4])
+def test_first_gradient_store_bitwise_matches_zero_then_add(uses):
+    gen = np.random.default_rng(uses)
+    init = gen.standard_normal((6, 5)).astype(np.float32)
+    w = Tensor(init.copy(), requires_grad=True)
+    ref = Tensor(init.copy(), requires_grad=True)
+    opt, ref_opt = Adam([w], lr=0.05), Adam([ref], lr=0.05)
+    # the oracle's tape runs through a weight no Adam owns, on `ref`'s
+    # storage: its gradient starts as None, so every contribution, the
+    # first included, is added to zeros
+    shadow = Tensor(ref.data, requires_grad=True)
+    for step in range(6):
+        xs = [gen.standard_normal((4, 6)).astype(np.float32)
+              for _ in range(uses)]
+        for x in xs:
+            # a zero column of x is an exactly zero row of w's gradient
+            x[:, gen.random(6) < 0.3] = 0
+            if step == 3:
+                x[...] = 0                  # every gradient exactly zero
+        _ce_through(w, xs).backward()
+        _ce_through(shadow, xs).backward()
+        assert np.array_equal(w.grad, shadow.grad), f"step {step}"
+        ref.grad[...], shadow.grad = shadow.grad, None
+        opt.step()
+        ref_opt.step()
+        for ours, theirs in ((w.data, ref.data), (opt.m, ref_opt.m),
+                             (opt.v, ref_opt.v)):
+            assert ours.tobytes() == theirs.tobytes(), f"step {step}"
+        assert not opt.grad.any()
+
+
+def test_second_backward_without_step_adds():
+    # a divergence leaves the gradients unstepped: a later backward adds
+    x = np.arange(24, dtype=np.float32).reshape(4, 6) / 24
+    w = Tensor(np.ones((6, 5), dtype=np.float32), requires_grad=True)
+    Adam([w])
+    _ce_through(w, [x]).backward()
+    once = w.grad.copy()
+    _ce_through(w, [x]).backward()
+    assert w.grad.tobytes() == (once + once).tobytes()
+
+
+def test_weight_outside_adam_takes_accumulate_path(monkeypatch):
+    added_into = []
+    accumulate = Tensor._accumulate
+
+    def recording(self, g):
+        added_into.append(self)
+        accumulate(self, g)
+
+    monkeypatch.setattr(Tensor, "_accumulate", recording)
+    x = np.random.default_rng(3).standard_normal((4, 6)).astype(np.float32)
+    init = np.random.default_rng(4).standard_normal((6, 5))
+    w = Tensor(init.astype(np.float32), requires_grad=True)
+    owned = Tensor(init.astype(np.float32), requires_grad=True)
+    Adam([owned])
+    for p in (w, owned):
+        _ce_through(p, [x]).backward()
+    # only the slot an Adam zeroed takes the product itself
+    assert sum(t is w for t in added_into) == 1
+    assert not any(t is owned for t in added_into)
+    assert np.array_equal(w.grad, owned.grad)
+
+
+@pytest.mark.parametrize("beta1", [0.5, 0.9])
+def test_written_negative_zero_leaves_parameter_bytes_unchanged(beta1):
+    # A slot written by a product may keep a -0.0 that `0 + g` makes +0.0.
+    # Adam squares g into v, so v never sees the sign. m = b1 * m +
+    # (1 - b1) * g sees it only where b1 * m is -0.0: b1 <= 1/2 rounds the
+    # smallest negative subnormal m to -0.0. Such an m moves its parameter
+    # by a signed zero, which changes no parameter but a -0.0 one, and no
+    # step makes a -0.0 parameter. So the parameters keep their bytes.
+    gen = np.random.default_rng(5)
+    init = gen.standard_normal((8, 8)).astype(np.float32)
+    init[0] = 0.0
+    written = Tensor(init.copy(), requires_grad=True)
+    added = Tensor(init.copy(), requires_grad=True)
+    opts = Adam([written], beta1=beta1), Adam([added], beta1=beta1)
+    m_signs_differed = False
+    for step in range(170):
+        g = gen.standard_normal((8, 8)).astype(np.float32)
+        g[gen.random((8, 8)) < 0.3] = -0.0
+        # rows 0 and 1: one negative gradient, then -0.0 while m decays
+        g[:2] = -1.0 if step == 0 else -0.0
+        written.grad[...] = g
+        added.grad[...] = 0 + g
+        for opt in opts:
+            opt.step()
+        assert written.data.tobytes() == added.data.tobytes(), f"step {step}"
+        assert opts[0].v.tobytes() == opts[1].v.tobytes()
+        assert np.array_equal(opts[0].m, opts[1].m)
+        m_signs_differed |= opts[0].m.tobytes() != opts[1].m.tobytes()
+        assert not np.signbit(written.data[written.data == 0]).any()
+    assert m_signs_differed == (beta1 <= 0.5)
+
+
+def test_backward_writes_first_weight_gradient_without_temporary():
+    gen = np.random.default_rng(0)
+    w = Tensor(np.ones((1024, 1024), dtype=np.float32), requires_grad=True)
+    Adam([w])
+    x = Tensor(gen.standard_normal((8, 1024)).astype(np.float32))
+    loss = l1_reconstruction(np.zeros((8, 1024), dtype=np.float32), x @ w)
+    tracemalloc.start()
+    try:
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.grad.any()
+    assert peak < 1 << 20, peak             # the x.T @ g temporary: 4 MB
 
 
 def test_adam_owns_parameter_storage():
