@@ -191,11 +191,20 @@ class SynthConfig:
             raise ValueError("train_fraction must be in (0, 1)")
 
 
+# each map overwrites its argument with its result
 _MAPS = {
-    "tanh": np.tanh,
-    "softplus": lambda t: np.logaddexp(0.0, t),
+    "tanh": lambda t: np.tanh(t, out=t),
+    "softplus": lambda t: np.logaddexp(0.0, t, out=t),
     "identity": lambda t: t,
 }
+
+
+def _mapped(latents, w, b, name):
+    """`_MAPS[name](latents @ w + b)` as float32, formed in one float64
+    array."""
+    t = latents @ w
+    t += b
+    return _MAPS[name](t).astype(np.float32)
 
 
 def synth_generate(cfg):
@@ -220,13 +229,13 @@ def synth_generate(cfg):
     noise = r_noise.standard_normal(n, cfg.proto_dim,
                                     dtype=np.float64) * cfg.sample_noise
     latents = protos[labels] + noise
-    features = _MAPS[cfg.visual_map](latents @ wa + ba).astype(np.float32)
+    features = _mapped(latents, wa, ba, cfg.visual_map)
 
     attr_latents = protos.copy()
     if cfg.attr_noise > 0:
         attr_latents += r_noise.standard_normal(
             cfg.n_classes, cfg.proto_dim, dtype=np.float64) * cfg.attr_noise
-    attributes = _MAPS[cfg.attr_map](attr_latents @ wb + bb).astype(np.float32)
+    attributes = _mapped(attr_latents, wb, bb, cfg.attr_map)
 
     splits = {name: [] for name in INDEX_FIELDS[2:]}
     n_train = int(round(cfg.train_fraction * cfg.samples_per_class))

@@ -15,7 +15,9 @@ def glorot_uniform(fan_in, fan_out, rng, dtype=np.float32):
 class Linear:
     """`x @ w + b`, then a ReLU if asked: the tape's `@` node, and one node
     over `(product, b)` whose backward masks the gradient once and passes it
-    to the product, and its column sums to `b`."""
+    to the product, and its column sums to `b`. The bias and the ReLU act
+    in place on the product's array, which the product's backward never
+    reads, so a layer holds one activation array."""
 
     def __init__(self, in_dim, out_dim, rng, dtype=np.float32):
         """Glorot-uniform weights drawn from `rng`, or zeros if it is None."""
@@ -26,7 +28,8 @@ class Linear:
 
     def __call__(self, x, relu=False):
         z, b = x @ self.w, self.b
-        h = z.data + b.data
+        h = z.data
+        h += b.data
         if relu:
             mask = h > 0
             h *= mask

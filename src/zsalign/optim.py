@@ -15,10 +15,11 @@ each parameter's gradient slot known zero (`Tensor._zero_grad`) when it
 is built and when a step has completed. The first product to reach a
 marked slot in a backward pass (`Tensor.__matmul__`) writes itself into
 it with `np.matmul(..., out=)`, so no weight-sized `x.T @ g` is formed
-and added to zeros; that write and every `Tensor._accumulate` clear the
-mark, so later contributions are added. A second backward without a step
-therefore adds, as does the backward after a divergence, which leaves
-the gradients unstepped, and a tensor no `Adam` owns always accumulates.
+and added to zeros; that write and every later contribution clear the
+mark, so later contributions are added (a product's in row blocks, see
+`tensor.py`). A second backward without a step therefore adds, as does
+the backward after a divergence, which leaves the gradients unstepped,
+and a tensor no `Adam` owns always accumulates.
 A gradient written by hand does not clear the mark, so code that writes
 one steps before any backward reaches that slot (the latent classifier
 runs no backward at all). The written gradient is bitwise the added one,

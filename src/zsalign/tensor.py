@@ -6,12 +6,18 @@ softmax. A layer's bias and ReLU are one node (`nn.Linear`), so is a draw
 gradient (`losses.py`); each adds its node through `node`. A broadcast
 operand's gradient is not summed down: `_accumulate` raises.
 
-Contributions to a gradient are added by `_accumulate`, except one: a
-product's backward writes its right operand's (a layer's weight's)
-gradient straight into a slot whose owner has marked it known zero
-(`_zero_grad`; `optim.Adam` marks its parameters' slots, see there), so
-a weight's first gradient is formed in its slot, with no weight-sized
-temporary. The write and every `_accumulate` clear the mark.
+Contributions to a gradient are added by `_accumulate`, except a
+product's to its right operand (a layer's weight), which forms no array
+of the weight's size. The first is written straight into a slot whose
+owner has marked it known zero (`_zero_grad`; `optim.Adam` marks its
+parameters' slots, see there). Any other is added in row blocks of about
+`BLOCK` elements, `grad[r:r + rows] += x.T[r:r + rows] @ g`, so a
+weight used on several inputs (the common trunk on three, a decoder on
+two) takes one block-sized temporary at a time. A block splits only the
+product's output rows, never its reduction over the batch, and every
+OpenBLAS 0.3.31 product tried (paper and bench shapes, at 1 and 2
+threads) gave the whole product's bits. The write, a blocked add and every
+`_accumulate` clear the mark.
 """
 
 import numbers
@@ -21,6 +27,9 @@ import numpy as np
 
 # central-difference step of `finite_difference_check`
 FD_STEP = 1e-5
+
+# elements of a product added to a gradient at a time (1 MB in float32)
+BLOCK = 1 << 18
 
 
 class NonFiniteError(ValueError):
@@ -82,13 +91,21 @@ class Tensor:
         self._zero_grad = None
 
     def _accumulate_product(self, a, b):
-        """`_accumulate(a @ b)`, except that a slot known to be all zero
-        takes the product itself, written in place: no temporary."""
+        """`_accumulate(a @ b)` without a temporary of the gradient's size:
+        a slot known to be all zero takes the product itself, written in
+        place, and any other slot adds it in blocks of `BLOCK` elements,
+        whole rows of the product at a time."""
         if self.grad is not None and self._zero_grad is self.grad:
             np.matmul(a, b, out=self.grad)
             self._zero_grad = None
-        else:
-            self._accumulate(a @ b)
+            return
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        rows = max(1, BLOCK // b.shape[1])
+        for r in range(0, a.shape[0], rows):
+            block = self.grad[r:r + rows]
+            block += (a[r:r + rows] @ b).astype(self.dtype, copy=False)
+        self._zero_grad = None
 
     def backward(self):
         """Accumulate d(self)/d(param) into .grad of every reachable parameter."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -95,6 +96,40 @@ def test_save_load_round_trip_bitwise(tmp_path):
     for name in ("seen_classes", "unseen_classes", "train_idx",
                  "test_seen_idx", "test_unseen_idx"):
         assert np.array_equal(getattr(back, name), getattr(ds, name))
+
+
+# sha256 of the files `save_dataset` writes, in the order below: the
+# benchmark's bench-scale and CUB-like inputs at seed 1, and every map on
+# each side
+SYNTH_BYTES = {
+    "bench": (dict(sample_noise=0.5, proto_dim=8, seed=1),
+              "880a7269c2109cdfd1a201a85739eec7"
+              "da0cddf52d551ba54ece3c4bdecd431c"),
+    "cub_like": (dict(n_classes=200, n_seen=150, samples_per_class=4,
+                      visual_dim=2048, attr_dim=312, train_fraction=0.5,
+                      seed=1),
+                 "0711124bcdbe2290ced4bad483a8da62"
+                 "e4cd5d4e6eef34ba297fba90db706268"),
+    "identity_tanh": (dict(visual_map="identity", attr_map="tanh",
+                           attr_noise=0.1, seed=2),
+                      "fe91566b49ee480227af093a57005524"
+                      "45bab27e91e81101f664eba6aa85bbe1"),
+    "softplus_identity": (dict(visual_map="softplus", attr_map="identity",
+                               seed=3),
+                          "fd778c7614577062da787c041ec3fe0a"
+                          "0bb09e35270510d7458af5b9d76d02bd"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYNTH_BYTES))
+def test_synth_bytes_pinned(tmp_path, case):
+    fields, digest = SYNTH_BYTES[case]
+    save_dataset(synth_generate(SynthConfig(**fields)), tmp_path)
+    h = hashlib.sha256()
+    for name in ("meta.json", "features.bin", "attributes.bin",
+                 "labels.bin"):
+        h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == digest
 
 
 def test_load_missing_file(tmp_path):

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from zsalign import (Adam, Architecture, GaussianParams, Linear, Mlp, Model,
-                     Rng, Tensor, coral, finite_difference_check, gaussian_w2,
-                     icoral, kl_to_standard_normal, l1_reconstruction,
-                     sliced_wasserstein_discrepancy, softmax_cross_entropy)
+                     Rng, SynthConfig, Tensor, TrainSchedule, batch_iter,
+                     coral, finite_difference_check, gaussian_w2, icoral,
+                     kl_to_standard_normal, l1_reconstruction,
+                     schedule_weights, sliced_wasserstein_discrepancy,
+                     softmax_cross_entropy, step_joint, synth_generate)
 from zsalign.optim import _CHUNK
-from zsalign.tensor import NonFiniteError, node, softmax
+from zsalign.tensor import BLOCK, NonFiniteError, node, softmax
+from zsalign.training import ModelOptimizer
 
 
 def test_mlp_identity_relu_clamps():
@@ -151,7 +154,10 @@ def test_layer_gradients_bitwise_match_masked_oracle(relu):
     pre = x.data @ layer.w.data + layer.b.data
     gz = g * (pre > 0) if relu else g
     assert relu == (not gz[:, 2].any())
-    probe(layer(x, relu), g).backward()
+    out = layer(x, relu)
+    # the bias and ReLU act in place on the product: the same bytes
+    assert out.data.tobytes() == (pre * (pre > 0) if relu else pre).tobytes()
+    probe(out, g).backward()
     assert layer.w.grad.dtype == layer.b.grad.dtype == np.float32
     assert np.array_equal(layer.w.grad, x.data.T @ gz)
     assert np.array_equal(layer.b.grad, gz.sum(0, keepdims=True))
@@ -408,26 +414,23 @@ def test_second_backward_without_step_adds():
     assert w.grad.tobytes() == (once + once).tobytes()
 
 
-def test_weight_outside_adam_takes_accumulate_path(monkeypatch):
-    added_into = []
-    accumulate = Tensor._accumulate
-
-    def recording(self, g):
-        added_into.append(self)
-        accumulate(self, g)
-
-    monkeypatch.setattr(Tensor, "_accumulate", recording)
+def test_weight_outside_adam_takes_accumulate_path():
+    # only the slot an Adam zeroed is written; any other gradient is added
+    # to. A gradient set by hand leaves the mark, so the owned slot's ones
+    # show the write: they are overwritten, where the unowned ones are kept.
     x = np.random.default_rng(3).standard_normal((4, 6)).astype(np.float32)
     init = np.random.default_rng(4).standard_normal((6, 5))
     w = Tensor(init.astype(np.float32), requires_grad=True)
     owned = Tensor(init.astype(np.float32), requires_grad=True)
     Adam([owned])
+    w.grad = np.ones_like(w.data)
+    owned.grad[...] = 1
     for p in (w, owned):
         _ce_through(p, [x]).backward()
-    # only the slot an Adam zeroed takes the product itself
-    assert sum(t is w for t in added_into) == 1
-    assert not any(t is owned for t in added_into)
-    assert np.array_equal(w.grad, owned.grad)
+    assert w.grad.tobytes() == (1 + owned.grad).tobytes()
+    fresh = Tensor(init.astype(np.float32), requires_grad=True)
+    _ce_through(fresh, [x]).backward()
+    assert fresh.grad.tobytes() == (0 + owned.grad).tobytes()
 
 
 @pytest.mark.parametrize("beta1", [0.5, 0.9])
@@ -476,6 +479,92 @@ def test_backward_writes_first_weight_gradient_without_temporary():
         tracemalloc.stop()
     assert w.grad.any()
     assert peak < 1 << 20, peak             # the x.T @ g temporary: 4 MB
+
+
+@pytest.mark.parametrize("uses, dtype, owned", [
+    (2, np.float32, True), (3, np.float32, True), (3, np.float64, True),
+    (2, np.float32, False)])
+def test_blocked_product_adds_bitwise_match_whole_adds(
+        monkeypatch, uses, dtype, owned):
+    # wider than one block, with a ragged last block of rows
+    k, n = 1024, 600
+    rows = BLOCK // n
+    assert k > rows and k % rows
+    gen = np.random.default_rng(uses)
+    w = Tensor(gen.standard_normal((k, n)).astype(dtype), requires_grad=True)
+    opt = Adam([w], lr=0.01) if owned else None
+    seen = []
+    product = Tensor._accumulate_product
+
+    def recording(self, a, b):
+        seen.append((a.copy(), b.copy()))
+        product(self, a, b)
+
+    monkeypatch.setattr(Tensor, "_accumulate_product", recording)
+    for step in range(3):
+        xs = [gen.standard_normal((5, k)).astype(dtype) for _ in range(uses)]
+        gs = [gen.standard_normal((5, n)).astype(dtype) for _ in range(uses)]
+        seen.clear()
+        # one contribution to w's gradient, x.T @ g, per input
+        total = probe(Tensor(xs[0]) @ w, gs[0])
+        for x, g in zip(xs[1:], gs[1:]):
+            total = total + probe(Tensor(x) @ w, g)
+        total.backward()
+        assert len(seen) == uses
+        # the oracle forms each contribution whole and adds it in order
+        want = seen[0][0] @ seen[0][1]
+        if not owned:
+            want = np.zeros_like(want) + want
+        for a, b in seen[1:]:
+            want += a @ b
+        assert w.grad.dtype == dtype
+        assert w.grad.tobytes() == want.tobytes(), f"step {step}"
+        if owned:
+            opt.step()
+        else:
+            w.grad = None
+
+
+def test_backward_adds_later_weight_gradients_without_temporary():
+    gen = np.random.default_rng(1)
+    w = Tensor(np.ones((1024, 1024), dtype=np.float32), requires_grad=True)
+    Adam([w])
+    zeros = np.zeros((8, 1024), dtype=np.float32)
+    x1, x2 = (Tensor(gen.standard_normal((8, 1024)).astype(np.float32))
+              for _ in range(2))
+    loss = l1_reconstruction(zeros, x1 @ w) + l1_reconstruction(zeros, x2 @ w)
+    tracemalloc.start()
+    try:
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.grad.any()
+    assert peak < 2 << 20, peak             # the second x.T @ g: 4 MB
+
+
+def test_joint_step_allocates_less_than_a_weight():
+    # no weight-sized array in the forward, the backward or the step:
+    # every weight is used at least twice per joint step
+    ds = synth_generate(SynthConfig(n_classes=40, n_seen=30,
+                                    samples_per_class=10, visual_dim=512,
+                                    attr_dim=64, train_fraction=0.5, seed=1))
+    arch = Architecture(visual_dim=512, attr_dim=64, n_seen_classes=30,
+                        structure_dim=1024, common_hidden=768)
+    model = Model(arch, Rng(0))
+    sched = TrainSchedule(batch_size=10)
+    opt = ModelOptimizer(model, sched)
+    weights = schedule_weights(sched, 30)
+    first, second = list(batch_iter(ds, sched.batch_size, Rng(1)))[:2]
+    step_joint(model, first, weights, opt, Rng(2))
+    largest = max(p.data.nbytes for p in model.all_params())
+    tracemalloc.start()
+    try:
+        step_joint(model, second, weights, opt, Rng(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < largest, (peak, largest)
 
 
 def test_adam_owns_parameter_storage():
