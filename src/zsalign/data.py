@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import Rng
+from .rng import _BLOCK, Rng
 from .tensor import check_fields, check_finite
 
 FORMAT_VERSION = 1
@@ -109,7 +109,8 @@ def save_dataset(ds, path):
             **{k: np.asarray(getattr(ds, k), dtype=np.int64).tolist()
                for k in INDEX_FIELDS}}
     with open(os.path.join(path, "meta.json"), "w", encoding="utf-8") as f:
-        json.dump(meta, f, sort_keys=True)
+        # json.dumps runs the C encoder; json.dump to a file does not
+        f.write(json.dumps(meta, sort_keys=True))
     # an array already in its file's dtype is written without a copy
     for name, arr, dtype in (("features", ds.features, "<f4"),
                              ("attributes", ds.attributes, "<f4"),
@@ -199,12 +200,33 @@ _MAPS = {
 }
 
 
+def _row_blocks(n, width):
+    """`(start, stop)` ranges over `n` rows of `width` values, each block
+    `rng._BLOCK` values rounded down to whole rows but never under two
+    rows. A one-row product takes numpy's gemv path, which can differ from
+    a dgemm's bits in the last place, so a one-row tail joins the block
+    before it; only a one-row `n` makes a one-row block."""
+    rows = max(2, _BLOCK // width)
+    start = 0
+    while start < n:
+        stop = n if n - start <= rows + 1 else start + rows
+        yield start, stop
+        start = stop
+
+
 def _mapped(latents, w, b, name):
-    """`_MAPS[name](latents @ w + b)` as float32, formed in one float64
-    array."""
-    t = latents @ w
-    t += b
-    return _MAPS[name](t).astype(np.float32)
+    """`_MAPS[name](latents @ w + b)` as float32, formed and mapped in the
+    row blocks of `_row_blocks` and rounded once into the result, so no
+    float64 array of the result's size is held. A block splits only the
+    product's output rows, and a product of two or more rows gives the
+    bits of the whole product's rows (tried for K 4-32 and widths
+    32-16000), so the result is that of one whole-array product."""
+    out = np.empty((latents.shape[0], w.shape[1]), dtype=np.float32)
+    for start, stop in _row_blocks(*out.shape):
+        t = latents[start:stop] @ w
+        t += b
+        out[start:stop] = _MAPS[name](t)
+    return out
 
 
 def synth_generate(cfg):
@@ -266,7 +288,8 @@ def minmax_features(ds):
     lo = ds.features.min(axis=0)
     hi = ds.features.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
-    feats = ((ds.features - lo) / span).astype(np.float32)
+    feats = ds.features - lo
+    feats /= span
     return replace(ds, features=feats)
 
 

@@ -36,9 +36,15 @@ class NonFiniteError(ValueError):
     """NaN or Inf where finite values are required."""
 
 
+def all_finite(arr):
+    """`np.isfinite(arr).all()` without an array-sized temporary: a NaN is
+    its array's max and min, and an infinity its max or min."""
+    return arr.size == 0 or (np.isfinite(arr.max()) and np.isfinite(arr.min()))
+
+
 def check_finite(arr, name):
     """Raise if `arr` contains NaN/Inf. Used at API boundaries."""
-    if not np.all(np.isfinite(arr)):
+    if not all_finite(arr):
         raise NonFiniteError(f"non-finite values in '{name}'")
 
 

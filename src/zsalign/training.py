@@ -22,7 +22,8 @@ from dataclasses import dataclass, asdict
 from . import losses
 from .model import GROUPS, check_fits_dataset
 from .optim import Adam
-from .tensor import NonFiniteError, Tensor, check_fields, softmax
+from .tensor import (NonFiniteError, Tensor, all_finite, check_fields,
+                     softmax)
 
 CLS_GROUPS = ("cls1", "cls2")
 ENC_GROUPS = ("enc_visual", "enc_semantic")
@@ -120,8 +121,7 @@ class ModelOptimizer:
     def step(self, phase):
         names = PHASE_PARTITIONS[phase]
         for name in names:
-            g = self.adams[name].grad  # a NaN is its max and its min
-            if not (math.isfinite(g.max()) and math.isfinite(g.min())):
+            if not all_finite(self.adams[name].grad):
                 raise TrainingDivergence("gradient", phase, partition=name)
         for name in names:
             try:

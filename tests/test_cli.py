@@ -347,11 +347,12 @@ def test_gradcheck_detects_injected_fault(scale_backward):
 
 
 # each demo's last line (for 02 its start, which the path of the file the
-# demo wrote under TMPDIR follows); demos/03_evaluation.py takes about 80 s,
-# so no test runs it
+# demo wrote under TMPDIR follows; 03 ends with its GZSL metrics as JSON,
+# checked below, and takes about 15 s)
 DEMO_LAST_LINES = {
     "01_synthetic_data": "container round trip bitwise equal: True",
     "02_training_curves": "full per-epoch table in ",
+    "03_evaluation": None,
     "04_gradient_check": "with an injected fault in 'da': detected",
 }
 
@@ -372,6 +373,14 @@ def test_demo_runs(script, tmp_path):
         written = pathlib.Path(last[len(start):])
         assert written.is_file()
         assert written.resolve().is_relative_to(tmp_path.resolve())
+    elif script == "03_evaluation":
+        doc = json.loads(last)
+        assert doc["protocol"] == "GZSL"
+        assert doc["counts"] == {"seen": 200, "unseen": 400}
+        u, s, h = doc["u"], doc["s"], doc["h"]
+        assert 0 < u <= 100 and 0 < s <= 100
+        assert h == pytest.approx(2 * u * s / (u + s), abs=0.02)
+        assert len(doc["per_class"]) == 20
     else:
         assert last == DEMO_LAST_LINES[script]
     if script == "04_gradient_check":

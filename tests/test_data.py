@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from zsalign import (Architecture, Model, Rng, SynthConfig, TrainSchedule,
                      ZslDataset, batch_iter, check_finite, fit, load_dataset,
                      minmax_features, save_dataset, synth_generate)
-from zsalign.data import INDEX_FIELDS
+from zsalign.data import (_MAPS, INDEX_FIELDS, MAX_UNSEEN_ATTRS_PER_BATCH,
+                          _mapped, _row_blocks)
+from zsalign.rng import _BLOCK
 
 
 def small_cfg(**kw):
@@ -118,6 +121,19 @@ SYNTH_BYTES = {
                                seed=3),
                           "fd778c7614577062da787c041ec3fe0a"
                           "0bb09e35270510d7458af5b9d76d02bd"),
+    # views whose last row block would hold one row (65 = 2 x 32 + 1
+    # features, 13 = 3 x 4 + 1 attribute rows), and views in blocks of
+    # two rows; pinned from the one-array synthesis
+    "tail_one_row": (dict(n_classes=13, n_seen=10, samples_per_class=5,
+                          visual_dim=2048, attr_dim=16000, seed=4),
+                     "7d4b78faa1161c1cd14653c4b7922451"
+                     "8c62cbf3909f9a7f844488ab6a118951"),
+    "two_row_blocks": (dict(n_classes=3, n_seen=2, samples_per_class=3,
+                            visual_dim=40000, attr_dim=40000,
+                            visual_map="softplus", attr_map="tanh",
+                            attr_noise=0.2, seed=5),
+                       "a3e267ada91ded77bc56a11f3f0ad726"
+                       "a27c133ce9931b891d07a9dc457560eb"),
 }
 
 
@@ -130,6 +146,41 @@ def test_synth_bytes_pinned(tmp_path, case):
                  "labels.bin"):
         h.update((tmp_path / name).read_bytes())
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, width", [
+    (1, 2048), (2, 2048), (32, 2048), (33, 2048), (65, 2048), (800, 2048),
+    (257, 256), (2, 40000), (9, 40000)])
+def test_row_blocks_give_the_whole_product(n, width):
+    blocks = list(_row_blocks(n, width))
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    sizes = [stop - start for start, stop in blocks]
+    assert min(sizes) >= min(n, 2)     # a one-row product takes gemv
+    assert max(sizes) <= max(2, _BLOCK // width) + 1
+    rng = np.random.default_rng(n)
+    latents = rng.standard_normal((n, 16))
+    w = rng.standard_normal((16, width)) / 4.0
+    b = rng.standard_normal((1, width)) * 0.1
+    whole = latents @ w
+    assert np.array_equal(
+        np.concatenate([latents[a:z] @ w for a, z in blocks]), whole)
+    whole += b
+    for name, f in _MAPS.items():
+        want = f(whole.copy()).astype(np.float32)
+        assert _mapped(latents, w, b, name).tobytes() == want.tobytes()
+
+
+def test_synth_generate_holds_no_float64_view():
+    cfg = SynthConfig(**SYNTH_BYTES["cub_like"][0])
+    tracemalloc.start()
+    try:
+        synth_generate(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one float64 visual view is 13.1 MB; the float32 features are 6.6 MB
+    assert peak < cfg.n_classes * cfg.samples_per_class * cfg.visual_dim * 8
 
 
 def test_load_missing_file(tmp_path):
@@ -383,6 +434,21 @@ def test_minmax_scaling():
     scaled.validate()
 
 
+def test_minmax_bytes_match_out_of_place_formula():
+    ds = synth_generate(small_cfg())
+    ds.features[:, 3] = 0.25                    # a constant dimension
+    before = ds.features.copy()
+    lo = ds.features.min(axis=0)
+    hi = ds.features.max(axis=0)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    want = ((ds.features - lo) / span).astype(np.float32)
+    got = minmax_features(ds).features
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+    assert not got[:, 3].any()
+    assert ds.features.tobytes() == before.tobytes()
+
+
 # ---- batching -------------------------------------------------------------
 
 def test_batches_partition_training_split():
@@ -439,24 +505,34 @@ def test_batch_iter_validation():
 
 
 def test_unseen_attr_block_capped():
-    # 70 unseen classes: each batch carries the attributes of 64 of them
-    cfg = small_cfg(n_classes=80, n_seen=10, samples_per_class=4)
+    # SUN's split, 72 unseen classes: each batch carries the attributes of
+    # MAX_UNSEEN_ATTRS_PER_BATCH (64) of them
+    cfg = small_cfg(n_classes=82, n_seen=10, samples_per_class=4)
     ds = synth_generate(cfg)
-    unseen = ds.attributes[ds.unseen_classes]
+    unseen = np.sort(ds.unseen_classes)
+    assert len(unseen) == 72
 
     def blocks(seed):
-        return [b.unseen_attrs for b in batch_iter(ds, 16, Rng(seed))]
+        return [b.unseen_attrs for b in batch_iter(ds, 8, Rng(seed))]
 
-    first = blocks(0)
-    assert len(first) == 2
+    # the stream draws the row order, then one permutation per batch
+    oracle = Rng(3)
+    oracle.permutation(len(ds.train_idx))
+    first = blocks(3)
+    assert len(first) == 4                      # 30 training rows
+    picked = set()
     for block in first:
         # each row is exactly one unseen class's attribute vector
-        hits = (block[:, None, :] == unseen[None]).all(axis=2)
+        hits = (block[:, None, :] == ds.attributes[unseen][None]).all(axis=2)
         assert (hits.sum(axis=1) == 1).all()
-        classes = ds.unseen_classes[hits.argmax(axis=1)]
-        assert len(classes) == 64
+        classes = unseen[hits.argmax(axis=1)]
+        assert len(classes) == MAX_UNSEEN_ATTRS_PER_BATCH
         assert (np.diff(classes) > 0).all()  # distinct, in ascending order
-    assert all(np.array_equal(a, b) for a, b in zip(first, blocks(0)))
+        assert np.array_equal(classes, unseen[np.sort(oracle.permutation(
+            len(unseen))[:MAX_UNSEEN_ATTRS_PER_BATCH])])
+        picked.add(tuple(classes))
+    assert len(picked) > 1                      # a fresh pick per batch
+    assert all(np.array_equal(a, b) for a, b in zip(first, blocks(3)))
 
     arch = Architecture(visual_dim=ds.visual_dim, attr_dim=ds.attr_dim,
                         n_seen_classes=len(ds.seen_classes), structure_dim=12,

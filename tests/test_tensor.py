@@ -10,7 +10,8 @@ from zsalign import (Adam, Architecture, GaussianParams, Linear, Mlp, Model,
                      schedule_weights, sliced_wasserstein_discrepancy,
                      softmax_cross_entropy, step_joint, synth_generate)
 from zsalign.optim import _CHUNK
-from zsalign.tensor import BLOCK, NonFiniteError, node, softmax
+from zsalign.tensor import (BLOCK, NonFiniteError, all_finite, check_finite,
+                            node, softmax)
 from zsalign.training import ModelOptimizer
 
 
@@ -360,6 +361,35 @@ def test_adam_step_allocates_no_whole_array_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak           # one whole-array temporary: 4 MB
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 500, 999])
+def test_all_finite_matches_isfinite_all(dtype, bad, where):
+    arr = np.linspace(-1e30, 1e30, 1000, dtype=dtype).reshape(10, 100)
+    assert all_finite(arr) and np.isfinite(arr).all()
+    arr.reshape(-1)[where] = bad
+    assert not all_finite(arr) and not np.isfinite(arr).all()
+    with pytest.raises(NonFiniteError, match="'x'"):
+        check_finite(arr, "x")
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (4, 0)])
+def test_all_finite_accepts_empty(shape):
+    assert all_finite(np.empty(shape, dtype=np.float32))
+    check_finite(np.empty(shape), "x")
+
+
+def test_all_finite_allocates_no_array_sized_temporary():
+    arr = np.ones((1000, 1000), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        assert all_finite(arr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak     # np.isfinite(arr) alone takes 1 MB
 
 
 def _ce_through(w, xs):
