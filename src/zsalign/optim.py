@@ -8,7 +8,9 @@ clears it. Gradients are written in place (`p.grad[...] = g`): a step
 raises `ValueError`, before any state moves, if a parameter's `data` or
 `grad` is no longer its view. The moments `m` and `v` are flat arrays of
 the same layout and of the parameters' own dtype, so a float32 model
-keeps float32 optimizer state.
+keeps float32 optimizer state. Each of the four flat arrays is its own
+anonymous memory map (Unix), zeroed by the kernel, so malloc never
+places one in a free chunk of its heap (README "Memory").
 
 Known-zero slots. As the one owner that zeroes them, an `Adam` marks
 each parameter's gradient slot known zero (`Tensor._zero_grad`) when it
@@ -66,11 +68,24 @@ decays through the subnormal range too: 0.03% of the element updates of
 that training.)
 """
 
+import mmap
+
 import numpy as np
 
 from .tensor import NonFiniteError
 
 _CHUNK = 1 << 16
+
+
+def _mapped_zeros(n, dtype):
+    """`np.zeros(n, dtype)` in its own private anonymous mapping, with
+    transparent huge pages asked for, as numpy asks for them on its own
+    large arrays."""
+    buf = mmap.mmap(-1, max(n * np.dtype(dtype).itemsize, 1),
+                    flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=dtype, count=n)
 
 
 class Adam:
@@ -87,8 +102,7 @@ class Adam:
                              + ", ".join(sorted(str(d) for d in dtypes)))
         dtype = dtypes.pop() if dtypes else np.float64
         n = sum(p.data.size for p in self.params)
-        self.data = np.empty(n, dtype=dtype)
-        self.grad = np.zeros(n, dtype=dtype)
+        self.data, self.grad = _mapped_zeros(n, dtype), _mapped_zeros(n, dtype)
         start = 0
         for p in self.params:
             stop = start + p.data.size
@@ -98,8 +112,7 @@ class Adam:
             p._zero_grad = p.grad
             start = stop
         self._views = [(p.data, p.grad) for p in self.params]
-        self.m = np.zeros(n, dtype=dtype)
-        self.v = np.zeros(n, dtype=dtype)
+        self.m, self.v = _mapped_zeros(n, dtype), _mapped_zeros(n, dtype)
         self._denom = np.empty(min(n, _CHUNK), dtype=dtype)
 
     def step(self):

@@ -8,9 +8,13 @@ operand's gradient is not summed down: `_accumulate` raises.
 
 Contributions to a gradient are added by `_accumulate`, except a
 product's to its right operand (a layer's weight), which forms no array
-of the weight's size. The first is written straight into a slot whose
-owner has marked it known zero (`_zero_grad`; `optim.Adam` marks its
-parameters' slots, see there). Any other is added in row blocks of about
+of the weight's size. A node's first gradient (`grad` is None) is stored
+as `g + 0`: a fresh array, since `+` hands one array to both operands,
+and bitwise `zeros + g`, so a -0.0 is stored as +0.0.
+
+A weight's first product contribution is written straight into a slot
+whose owner has marked it known zero (`_zero_grad`; `optim.Adam` marks
+its parameters' slots, see there). Any other is added in row blocks of about
 `BLOCK` elements, `grad[r:r + rows] += x.T[r:r + rows] @ g`, so a
 weight used on several inputs (the common trunk on three, a decoder on
 two) takes one block-sized temporary at a time. A block splits only the
@@ -91,9 +95,14 @@ class Tensor:
 
     def _accumulate(self, g):
         g = g.astype(self.dtype, copy=False)
+        if g.shape != self.data.shape:
+            raise ValueError(f"gradient of shape {g.shape} does not match "
+                             f"its operand's {self.data.shape}: a "
+                             f"broadcast operand's gradient is not summed")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g  # raises ValueError if `self` was broadcast
+            self.grad = g + 0  # a fresh array, bitwise `zeros + g`
+        else:
+            self.grad += g
         self._zero_grad = None
 
     def _accumulate_product(self, a, b):

@@ -8,6 +8,9 @@ Per batch the loop runs:
      between the two classifiers (encoders/decoders frozen),
   3. `inner_repeats` encoder steps that minimize that discrepancy
      (classifiers frozen).
+Steps 2 and 3 start from the same encoders, so one encoder forward
+(`encode_structure`) serves step 2, as constants, and the first
+repeat of step 3.
 
 The loss graph is written once, in `joint_terms`, `classification_loss`
 and `discrepancy`. The three steps build from them and descend through
@@ -204,13 +207,17 @@ def joint_terms(model, batch, gamma, rng, with_icoral=True):
 def step_joint(model, batch, weights, opt, rng, with_icoral=True):
     """One Adam step of the full objective over all parameter groups;
     returns the loss terms. The adversarial discrepancy terms live in the
-    two dedicated steps."""
+    two dedicated steps. While `weights.l1` is 0 the cross reconstruction
+    `rec` is formed, checked and returned but left out of the total, so
+    it is not backpropagated."""
     opt.begin("joint")
     t = joint_terms(model, batch, weights.gamma, rng, with_icoral)
     t["rec"] = t["rec_x"] + t["rec_a"]
     aligned = t["icoral"] + t["da"] if with_icoral else t["da"]
-    total = t["vae_x"] + t["vae_a"] + weights.l1 * t["rec"] + t["cls"] + \
-        weights.l3 * aligned
+    total = t["vae_x"] + t["vae_a"]
+    if weights.l1:  # at weight 0 the cross reconstruction passes back zeros
+        total = total + weights.l1 * t["rec"]
+    total = total + t["cls"] + weights.l3 * aligned
     terms = _descend(opt, "joint", {
         name: t[name] for name in ("vae_x", "vae_a", "rec", "cls", "da",
                                    "icoral") if name in t}, total)
@@ -218,12 +225,20 @@ def step_joint(model, batch, weights, opt, rng, with_icoral=True):
     return terms
 
 
-def step_max_discrepancy(model, batch, weights, opt, rng, sched):
+def encode_structure(model, batch):
+    """The structure embeddings `(sx, sa)` of the batch's visual features
+    and attributes."""
+    return (model.encode_visual(Tensor(batch.x)),
+            model.encode_semantic(Tensor(batch.a)))
+
+
+def step_max_discrepancy(model, batch, weights, opt, rng, sched, enc=None):
     """Update only the two classifiers: keep them accurate while pushing
-    their predictions apart. Encoders and decoders are frozen."""
+    their predictions apart. Encoders and decoders are frozen. `enc`, if
+    given, is `encode_structure` of the batch under the current encoders;
+    the step reads only its values."""
     opt.begin("max")
-    sx = model.encode_visual(Tensor(batch.x))
-    sa = model.encode_semantic(Tensor(batch.a))
+    sx, sa = (Tensor(s.data) for s in enc or encode_structure(model, batch))
     dirs = rng.unit_directions(sched.swd_directions,
                                model.arch.n_seen_classes)
     cls = classification_loss(model, sx, sa, batch.y)
@@ -232,13 +247,16 @@ def step_max_discrepancy(model, batch, weights, opt, rng, sched):
                     cls + weights.l2 * dis1)
 
 
-def step_min_discrepancy(model, batch, weights, opt, rng, sched):
+def step_min_discrepancy(model, batch, weights, opt, rng, sched, enc=None):
     """`sched.inner_repeats` updates of only the two task-specific encoders
-    to shrink the classifier discrepancy. Classifiers are frozen."""
+    to shrink the classifier discrepancy. Classifiers are frozen. `enc`,
+    if given, is `encode_structure` of the batch built while the encoders
+    were trainable and have not changed since; the first update
+    backpropagates through it, and later updates encode afresh."""
     for _ in range(sched.inner_repeats):
         opt.begin("min")
-        sx = model.encode_visual(Tensor(batch.x))
-        sa = model.encode_semantic(Tensor(batch.a))
+        sx, sa = enc or encode_structure(model, batch)
+        enc = None  # each update moves the encoders
         dirs = rng.unit_directions(sched.swd_directions,
                                    model.arch.n_seen_classes)
         dis2 = discrepancy(model, sx, sa, dirs)
@@ -291,10 +309,15 @@ def train_epoch(model, ds, sched, epoch, rng, opt, flags=None):
             terms = step_joint(model, batch, weights, opt, r_step,
                                with_icoral=not flags.disable_icoral)
             if not flags.disable_sa:
+                # the classifier step trains only `cls`, so one forward of
+                # the trainable encoders serves it and the first encoder step
+                opt.begin("min")
+                enc = encode_structure(model, batch)
                 terms["dis1"] = step_max_discrepancy(
-                    model, batch, weights, opt, r_step, sched)["dis1"]
+                    model, batch, weights, opt, r_step, sched, enc)["dis1"]
                 terms["dis2"] = step_min_discrepancy(
-                    model, batch, weights, opt, r_step, sched)["dis2"]
+                    model, batch, weights, opt, r_step, sched, enc)["dis2"]
+                del enc  # free the forward before the next batch's
         except TrainingDivergence as e:
             raise TrainingDivergence(e.term, e.phase, epoch, bi,
                                      e.partition) from None

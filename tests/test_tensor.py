@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -186,6 +187,41 @@ def test_broadcast_operand_needing_gradient_raises(op):
     out = p + c if op == "add" else p * c
     with pytest.raises(ValueError, match="broadcast"):
         l1_reconstruction(np.zeros((4, 3)), out).backward()
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (1, 1), (3,)])
+def test_first_gradient_of_another_shape_raises(shape):
+    # a non-leaf's first gradient is stored as `g + 0`, which would take
+    # any shape; a gradient larger or smaller than its node is refused
+    h = Tensor(np.ones((1, 3)), requires_grad=True) * 2.0
+    with pytest.raises(ValueError, match="broadcast"):
+        h._accumulate(np.ones(shape))
+    assert h.grad is None
+
+
+def test_node_consumed_twice_gets_sum_and_leaves_upstream_untouched():
+    # `+` passes one array to both operands: the first store must copy it,
+    # or the second contribution would add into the caller's array
+    x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3),
+               requires_grad=True)
+    h = x * 2.0
+    y = h + h
+    g = Rng(0).standard_normal(2, 3)
+    before = g.copy()
+    y._backward(g)
+    assert h.grad.tobytes() == (before + before).tobytes()
+    assert g.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_first_gradient_stores_negative_zero_as_positive(dtype):
+    # bitwise `zeros + g`, which turns -0.0 into +0.0
+    h = Tensor(np.ones((1, 4), dtype=dtype), requires_grad=True) * 2.0
+    g = np.array([[-0.0, 0.0, -1.5, np.nan]], dtype=dtype)
+    h._accumulate(g)
+    assert h.grad.tobytes() == (np.zeros_like(g) + g).tobytes()
+    assert not np.signbit(h.grad[0, 0])
+    assert h.grad is not g and np.signbit(g[0, 0])
 
 
 # every node-building op and loss, over operands that need no gradient
@@ -612,6 +648,29 @@ def test_adam_owns_parameter_storage():
     opt.step()
     assert not opt.grad.any()
     assert w.data.base is opt.data and b.grad.base is opt.grad
+
+
+def _malloc_heap():
+    with open("/proc/self/maps") as f:
+        return [tuple(int(a, 16) for a in line.split()[0].split("-"))
+                for line in f if line.rstrip().endswith("[heap]")]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="reads the process's memory map")
+def test_adam_arrays_live_outside_the_malloc_heap():
+    # freeing an 8 MB array raises glibc's mmap threshold to 8 MB, so a
+    # 4 MB numpy array would now come from the heap
+    del_me = np.ones(2 << 20, dtype=np.float32)
+    del del_me
+    w = Tensor(np.ones((1024, 1024), dtype=np.float32), requires_grad=True)
+    opt = Adam([w])
+    heap = _malloc_heap()
+    for arr in (opt.data, opt.grad, opt.m, opt.v):
+        start = arr.ctypes.data
+        assert not any(lo <= start < hi for lo, hi in heap)
+    assert not opt.grad.any() and not opt.m.any() and not opt.v.any()
+    assert w.data.base is opt.data and np.all(w.data == 1)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

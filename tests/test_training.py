@@ -1,15 +1,20 @@
+import hashlib
+import weakref
+
 import numpy as np
 import pytest
 
 from zsalign import (AblationFlags, Adam, Architecture, Model, Rng,
                      SynthConfig, TrainSchedule, batch_iter, fit,
-                     schedule_weights, step_joint, step_max_discrepancy,
-                     step_min_discrepancy, synth_generate, write_curves)
-from zsalign import gradcheck, losses, training
+                     save_checkpoint, schedule_weights, step_joint,
+                     step_max_discrepancy, step_min_discrepancy,
+                     synth_generate, write_curves)
+from zsalign import gradcheck, losses, nn, training
 from zsalign.training import (CLS_GROUPS, CURVES_HEADER, ENC_GROUPS,
                               PHASE_PARTITIONS, ModelOptimizer,
                               TrainingDivergence, joint_terms, train_epoch)
 from zsalign.model import GROUPS
+from zsalign.tensor import node
 
 SMALL_ARCH = dict(structure_dim=12, latent_dim=4, common_hidden=8,
                   dec_visual_hidden=8, dec_semantic_hidden=6)
@@ -193,6 +198,44 @@ def test_adam_steps_per_batch(monkeypatch, disable_sa, per_batch):
     assert len(calls) == per_batch * n_batches
 
 
+@pytest.mark.parametrize("repeats,disable_sa,per_batch",
+                         [(1, False, 2), (2, False, 3), (1, True, 1)])
+def test_batch_encodes_once_per_encoder_state(monkeypatch, repeats,
+                                              disable_sa, per_batch):
+    # the joint step encodes, then one forward serves the classifier step
+    # and the first encoder step; each later encoder step encodes afresh
+    ds, model, sched = small_setup()
+    sched.inner_repeats = repeats
+    real_call, real_joint = nn.Mlp.__call__, training.step_joint
+    real_encode, counts, shared = training.encode_structure, [], []
+
+    def counting_call(self, x):
+        if self is model.enc_visual:
+            counts[-1] += 1
+        return real_call(self, x)
+
+    def recording_encode(*args):
+        enc = real_encode(*args)
+        shared.append([weakref.ref(s.data) for s in enc])
+        return enc
+
+    def checking_joint(*args, **kwargs):
+        # no reference to an earlier batch's shared forward survives
+        assert all(r() is None for refs in shared for r in refs)
+        counts.append(0)
+        return real_joint(*args, **kwargs)
+
+    monkeypatch.setattr(nn.Mlp, "__call__", counting_call)
+    monkeypatch.setattr(training, "encode_structure", recording_encode)
+    monkeypatch.setattr(training, "step_joint", checking_joint)
+    train_epoch(model, ds, sched, 30, Rng(0), ModelOptimizer(model, sched),
+                AblationFlags(disable_sa=disable_sa))
+    n_batches = -(-len(ds.train_idx) // sched.batch_size)
+    assert counts == [per_batch] * n_batches
+    assert len(shared) == (0 if disable_sa else repeats * n_batches)
+    assert all(r() is None for refs in shared for r in refs)
+
+
 def test_inner_repeat_reduces_discrepancy():
     ds, model, sched = small_setup()
     weights = schedule_weights(sched, 30)
@@ -267,6 +310,53 @@ def test_fit_deterministic():
     b2, c2 = run()
     assert b1 == b2
     assert c1 == c2
+
+
+# sha256 of curves.csv and of the checkpoint after 23 epochs of the
+# criterion-8 geometry (`small_setup`, `fit` with Rng(1)), which span
+# L1_START: epochs 0-21 train with a zero cross-reconstruction weight and
+# epoch 22 with a positive one. Computed before the classifier and encoder
+# steps shared one encoder forward, before a zero-weighted cross
+# reconstruction was left out of the joint step's backward, and before a
+# node's first gradient was stored as `g + 0`; each of those changes must
+# keep these bytes.
+PINNED_TRAINING = {
+    "full": (
+        AblationFlags(), 1,
+        "ced7871954ea6d2d61ba85e3ba91807da387064dc0d9f1f8ac42bad566a5a725",
+        "35a2dbba09499cf50ea2d4bfc7de74f5dbb86d033d8439636aff69d5e2b36901"),
+    "no_sa": (
+        AblationFlags(disable_sa=True), 1,
+        "90174677205dee31a508c862f316e5cb213261855928ebbbb4849909191693f5",
+        "255001b5904dfdaea716a9efc0063a4f6494f69d9b5a73522ce8f45856b58de2"),
+    "no_da_icoral": (
+        AblationFlags(disable_da_icoral=True), 1,
+        "29f097ec0282a3298acf7f11c8ddcb7eb3825867c4bd592295afdf1eccde4202",
+        "994a27749cfad3154ceb754c933f897fbbd015a24f246568ffe960ab008f57fc"),
+    "no_icoral": (
+        AblationFlags(disable_icoral=True), 1,
+        "a090f309ae729d90b3985b4aee89d0dfdf1e573541cfc53a7935446f1685f864",
+        "be96653863732e410a9eee2ec810308667d43a74e62c8fcea12a206922323a56"),
+    "full_inner_repeats_2": (
+        AblationFlags(), 2,
+        "f0da00dc0c51d6952e150b4f3e2a734cf6ff30b096227d479dca9281c6e369ba",
+        "1aae8fb7f2902e4cc6c21e405e602eb760ced3e5d60c1e7530676aa6c3c19b47"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_TRAINING)
+def test_training_bytes_pinned(tmp_path, case):
+    flags, repeats, curves_sha, checkpoint_sha = PINNED_TRAINING[case]
+    ds, model, sched = small_setup()
+    sched.epochs, sched.inner_repeats = 23, repeats
+    curves = fit(model, ds, sched, Rng(1), flags)
+    assert curves[21]["l1"] == 0.0 < curves[22]["l1"]
+    write_curves(curves, tmp_path / "curves.csv")
+    save_checkpoint(model, tmp_path / "checkpoint.bin")
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("curves.csv", "checkpoint.bin")}
+    assert digest == {"curves.csv": curves_sha,
+                      "checkpoint.bin": checkpoint_sha}
 
 
 def test_fit_zero_epochs_leaves_model_untouched():
@@ -536,6 +626,58 @@ def test_non_finite_gradient_in_any_trained_partition_moves_none():
     assert (e.value.term, e.value.partition) == ("gradient", "rest")
     assert model.param_bytes() == before
     assert [a.t for a in opt.adams.values()] == [0, 0, 0]
+
+
+def reconstruction_calls(monkeypatch, poison=None):
+    """Wrap `losses.l1_reconstruction`, which `joint_terms` calls for vae_x,
+    vae_a, rec_x and rec_a in turn: record each result and the indices of
+    the calls backpropagated through; call number `poison` returns NaN."""
+    real, results, backprop = losses.l1_reconstruction, [], []
+
+    def wrapped(x, recon):
+        out, i = real(x, recon), len(results)
+        results.append(float(out.data))
+        data = np.full_like(out.data, np.nan) if i == poison else out.data
+        return node(data, (out,), lambda g: (backprop.append(i),
+                                             out._accumulate(g)))
+
+    monkeypatch.setattr(losses, "l1_reconstruction", wrapped)
+    return results, backprop
+
+
+@pytest.mark.parametrize("epoch", [0, 21, 22])
+def test_cross_reconstruction_backpropagated_only_at_positive_weight(
+        monkeypatch, epoch):
+    ds, model, sched = small_setup()
+    weights = schedule_weights(sched, epoch)
+    assert (weights.l1 > 0) == (epoch == 22)
+    batch = next(batch_iter(ds, sched.batch_size, Rng(0)))
+    results, backprop = reconstruction_calls(monkeypatch)
+    terms = step_joint(model, batch, weights, ModelOptimizer(model, sched),
+                       Rng(5))
+    assert terms["rec"] == float(np.float32(results[2]) +
+                                 np.float32(results[3]))
+    assert sorted(backprop) == ([0, 1, 2, 3] if weights.l1 else [0, 1])
+
+
+def test_zero_weighted_cross_reconstruction_is_still_checked(monkeypatch):
+    ds, model, sched = small_setup()
+    sched.epochs = 1
+    assert schedule_weights(sched, 0).l1 == 0
+    # the rec curve column is the mean of every batch's rec_x + rec_a
+    results, _ = reconstruction_calls(monkeypatch)
+    (row,) = fit(model, ds, sched, Rng(0))
+    recs = [float(np.float32(results[i + 2]) + np.float32(results[i + 3]))
+            for i in range(0, len(results), 4)]
+    assert row["rec"] == sum(recs) / len(recs) > 0
+    # a NaN in the forward of rec_x of the first joint step still diverges
+    monkeypatch.undo()
+    _, model, _ = small_setup()
+    reconstruction_calls(monkeypatch, poison=2)
+    with pytest.raises(TrainingDivergence, match="loss term 'rec' in the "
+                       "joint step at epoch 0, batch 0") as e:
+        fit(model, ds, sched, Rng(0))
+    assert e.value.term == "rec"
 
 
 def test_adam_overflow_is_a_divergence_naming_the_partition():
