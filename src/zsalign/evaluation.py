@@ -5,7 +5,11 @@ attributes (plus, for GZSL, latents of real seen-class training features),
 then evaluated on encoded test features with per-class top-1 accuracy.
 """
 
+import contextlib
+import ctypes
+import functools
 import json
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -127,13 +131,58 @@ class LatentClassifier:
         return self.class_ids[np.argmax(logits, axis=1)]
 
 
+@functools.cache
+def _openblas_thread_setter():
+    """`openblas_set_num_threads_local` of the OpenBLAS that numpy loaded,
+    found among the files mapped into this process (Linux), or None where
+    no such library or symbol is found. The call sets OpenBLAS's thread
+    count and returns the count it replaced."""
+    try:
+        with open("/proc/self/maps") as maps:
+            # a line that names a file holds six fields, the last its path
+            paths = {line.split(None, 5)[5].strip() for line in maps
+                     if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread inside the block and restore its count
+    after it; do nothing where `_openblas_thread_setter` finds no control."""
+    setter = _openblas_thread_setter()
+    if setter is None:
+        yield
+        return
+    before = setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
+
+
 def train_softmax_classifier(latents, labels, rng, epochs=30):
     """Single affine layer + softmax, Adam on the mean cross-entropy.
 
     Each step forms the gradients of `w` and `b` directly, with the
     operations, in the order, that the tape's backward pass would use, and
     writes them into the optimizer's gradient array; the loss value itself
-    is never needed.
+    is never needed. A step works in three buffers allocated once (the
+    batch rows, the logits, one value per row) and in the gradient slots.
+
+    The products run on one OpenBLAS thread whatever the configured count:
+    they are too small for a second thread to pay (README "Performance"),
+    and their inner widths (the latent width and the batch size) keep
+    their bits at any count (README "Determinism"). Where no OpenBLAS
+    control is found they run at the configured count.
     """
     if len(latents) == 0:
         raise ValueError("empty latent training set")
@@ -147,19 +196,33 @@ def train_softmax_classifier(latents, labels, rng, epochs=30):
     w, b = layer.params()
     opt = Adam([w, b], lr=CLASSIFIER_LR)
     n = len(latents)
-    for _ in range(epochs):
-        order = r_shuffle.permutation(n)
-        for start in range(0, n, CLASSIFIER_BATCH):
-            idx = order[start:start + CLASSIFIER_BATCH]
-            x = latents[idx]
-            logits = x @ w.data + b.data
-            e = np.exp(logits - logits.max(axis=1, keepdims=True))
-            # backward starts from a loss gradient of 1 in the logits dtype
-            g = softmax_cross_entropy_grad(e, y[idx], logits.dtype.type(1))
-            w.grad[...] = x.T @ g
-            b.grad[...] = g.sum(axis=0, keepdims=True)
-            check_finite(opt.grad, "gradient")
-            opt.step()
+    rows = min(n, CLASSIFIER_BATCH)
+    x_buf = np.empty((rows, latents.shape[1]), dtype=latents.dtype)
+    dtype = np.result_type(latents.dtype, w.dtype)
+    logits_buf = np.empty((rows, len(class_ids)), dtype=dtype)
+    col_buf = np.empty((rows, 1), dtype=dtype)
+    # backward starts from a loss gradient of 1 in the logits dtype
+    one = dtype.type(1)
+    with _one_blas_thread():
+        for _ in range(epochs):
+            order = r_shuffle.permutation(n)
+            for start in range(0, n, CLASSIFIER_BATCH):
+                idx = order[start:start + CLASSIFIER_BATCH]
+                m = len(idx)
+                x, logits, col = x_buf[:m], logits_buf[:m], col_buf[:m]
+                # `idx` comes from a permutation, so "clip" never clips;
+                # "raise" would write through a temporary copy of `x`
+                np.take(latents, idx, axis=0, out=x, mode="clip")
+                np.matmul(x, w.data, out=logits)
+                logits += b.data
+                np.max(logits, axis=1, keepdims=True, out=col)
+                logits -= col
+                np.exp(logits, out=logits)
+                g = softmax_cross_entropy_grad(logits, y[idx], one)
+                np.matmul(x.T, g, out=w.grad)
+                np.sum(g, axis=0, keepdims=True, out=b.grad)
+                check_finite(opt.grad, "gradient")
+                opt.step()
     return LatentClassifier(w=w.data.copy(), b=b.data.copy(),
                             class_ids=class_ids)
 

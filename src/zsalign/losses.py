@@ -98,6 +98,7 @@ def softmax_cross_entropy(logits, labels):
     e = np.exp(shifted)
     logz = np.log(np.sum(e, axis=1, dtype=np.float64))
     nll = logz - shifted[np.arange(n), labels].astype(np.float64)
+    # the node's backward runs once per graph, so it may consume `e`
     return _loss_node(nll.mean(), (logits,),
                       lambda up: (softmax_cross_entropy_grad(e, labels, up),))
 
@@ -105,11 +106,13 @@ def softmax_cross_entropy(logits, labels):
 def softmax_cross_entropy_grad(e, labels, g):
     """Gradient of `g` times the mean NLL with respect to the logits, from
     the max-shifted exponentials `e`: (softmax - onehot) * g / n, with the
-    probabilities formed as `tensor.softmax` forms them."""
+    probabilities formed as `tensor.softmax` forms them. The gradient is
+    written over `e`, which is returned."""
     n = len(labels)
-    probs = e / e.sum(axis=1, keepdims=True)
-    probs[np.arange(n), labels] -= 1.0
-    return probs * (g / n)
+    e /= e.sum(axis=1, keepdims=True)
+    e[np.arange(n), labels] -= 1.0
+    e *= g / n
+    return e
 
 
 def sliced_wasserstein_discrepancy(p1, p2, directions):

@@ -477,26 +477,32 @@ def test_ablate_row_is_train_then_eval(tmp_path):
 
 def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
     # the acceptance geometry, whose products keep their bits at any
-    # OpenBLAS thread count (README "Determinism")
+    # OpenBLAS thread count (README "Determinism"); `eval` of the trained
+    # checkpoint writes the same metrics too
     from test_acceptance import BENCH_ARCH, BENCH_SYNTH
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "synth": BENCH_SYNTH, "model": BENCH_ARCH,
         "schedule": {"epochs": 3, "batch_size": 50, "swd_directions": 32}}))
     root = pathlib.Path(__file__).resolve().parents[1]
-    checkpoints = []
+    outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "zsalign.cli", "train", "--config",
-             str(cfg), "--seed", "1", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
+        for verb in (["train", "--out", str(out)],
+                     ["eval", "--out", str(out / "eval"), "--checkpoint",
+                      str(out / "checkpoint.bin")]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "zsalign.cli", *verb, "--config",
+                 str(cfg), "--seed", "1"],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["openblas_num_threads"] == threads
         assert {"blas", "blas_version", "nproc"} <= set(manifest)
-        checkpoints.append((out / "checkpoint.bin").read_bytes())
-    assert checkpoints[0] == checkpoints[1]
+        outputs.append([(out / name).read_bytes() for name in (
+            "checkpoint.bin", "eval/metrics_czsl.json",
+            "eval/metrics_gzsl.json")])
+    assert outputs[0] == outputs[1]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,26 +308,132 @@ class TapeClassifierOracle:
         self.w, self.b = layer.w.data, layer.b.data
 
 
-@pytest.mark.parametrize("n,classes,dtype", [
-    (1000, 2, np.float32),     # ragged last batch of 104 rows
-    (1000, 50, np.float32),
-    (1000, 200, np.float32),
-    (257, 7, np.float32),      # last batch of one row
-    (90, 5, np.float32),       # one batch, smaller than batch_size
-    (300, 13, np.float64),
-])
-def test_classifier_bitwise_matches_tape_oracle(n, classes, dtype):
+# n, classes, dtype, latent width
+ORACLE_CASES = [
+    (1000, 2, np.float32, 16),     # ragged last batch of 104 rows
+    (1000, 50, np.float32, 16),
+    (1000, 200, np.float32, 16),
+    (257, 7, np.float32, 16),      # last batch of one row
+    (90, 5, np.float32, 16),       # one batch, smaller than batch_size
+    (300, 13, np.float64, 16),
+    (1000, 200, np.float32, 64),   # paper geometry: GZSL over 200 classes
+    (1000, 50, np.float32, 64),    # and CZSL over 50
+]
+
+
+@pytest.mark.parametrize(
+    "n,classes,dtype,dim", ORACLE_CASES,
+    ids=[f"{n}-{c}-{np.dtype(t).name}" + ("" if d == 16 else f"-dim{d}")
+         for n, c, t, d in ORACLE_CASES])
+def test_classifier_bitwise_matches_tape_oracle(n, classes, dtype, dim):
+    # the classifier steps on one BLAS thread, the oracle at the session's
+    # thread count
     rng = Rng(n + classes)
     ids = rng.permutation(10 * classes)[:classes] + 3
     labels = ids[rng.integers(0, classes, size=n)]
-    centers = 3.0 * rng.standard_normal(10 * classes + 3, 16)
-    latents = (centers[labels] + rng.standard_normal(n, 16)).astype(dtype)
+    centers = 3.0 * rng.standard_normal(10 * classes + 3, dim)
+    latents = (centers[labels] + rng.standard_normal(n, dim)).astype(dtype)
     got = train_softmax_classifier(latents, labels, Rng(9), epochs=4)
     want = TapeClassifierOracle(latents, labels, Rng(9), epochs=4)
     assert got.w.dtype == want.w.dtype and got.b.dtype == want.b.dtype
     assert got.w.tobytes() == want.w.tobytes()
     assert got.b.tobytes() == want.b.tobytes()
     assert np.array_equal(got.class_ids, want.class_ids)
+
+
+def _blas_threads(setter):
+    """OpenBLAS's thread count, read through its setter and left as is."""
+    count = setter(1)
+    setter(count)
+    return count
+
+
+def test_classifier_steps_on_one_blas_thread(monkeypatch):
+    setter = evaluation._openblas_thread_setter()
+    if setter is None:
+        pytest.skip("no OpenBLAS thread control found")
+    counts = []
+    real_check = evaluation.check_finite
+
+    def spy(arr, name):
+        counts.append(_blas_threads(setter))
+        return real_check(arr, name)
+
+    monkeypatch.setattr(evaluation, "check_finite", spy)
+    rng = Rng(3)
+    labels = rng.integers(0, 20, size=300)
+    latents = rng.standard_normal(300, 8)
+    session = setter(2)
+    try:
+        pinned = train_softmax_classifier(latents, labels, Rng(1), epochs=2)
+        assert len(counts) == 6 and set(counts) == {1}
+        assert _blas_threads(setter) == 2
+        with pytest.raises(NonFiniteError, match="overflow"):
+            train_softmax_classifier(np.full((8, 3), 1e21, dtype=np.float32),
+                                     np.arange(8) % 2, Rng(0))
+        assert _blas_threads(setter) == 2
+        # without the control the steps run at the configured count, to
+        # the same bytes
+        counts.clear()
+        monkeypatch.setattr(evaluation, "_openblas_thread_setter",
+                            lambda: None)
+        free = train_softmax_classifier(latents, labels, Rng(1), epochs=2)
+        assert len(counts) == 6 and set(counts) == {2}
+    finally:
+        setter(session)
+    assert free.w.tobytes() == pinned.w.tobytes()
+    assert free.b.tobytes() == pinned.b.tobytes()
+
+
+def _allocating_classifier(latents, labels, rng, epochs):
+    """The classifier as it trained when each step formed its logits and
+    four more arrays of their size: the memory reference below."""
+    class_ids, y = np.unique(labels, return_inverse=True)
+    r_init, r_shuffle = rng.spawn(2)
+    w, b = Linear(latents.shape[1], len(class_ids), r_init).params()
+    opt = Adam([w, b], lr=evaluation.CLASSIFIER_LR)
+    n = len(latents)
+    for _ in range(epochs):
+        order = r_shuffle.permutation(n)
+        for start in range(0, n, evaluation.CLASSIFIER_BATCH):
+            idx = order[start:start + evaluation.CLASSIFIER_BATCH]
+            x = latents[idx]
+            logits = x @ w.data + b.data
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            g = e / e.sum(axis=1, keepdims=True)
+            g[np.arange(len(idx)), y[idx]] -= 1.0
+            g = g * (logits.dtype.type(1) / len(idx))
+            w.grad[...] = x.T @ g
+            b.grad[...] = g.sum(axis=0, keepdims=True)
+            opt.step()
+    return w.data.copy(), b.data.copy()
+
+
+def _traced_peak(train, *args):
+    """`tracemalloc` peak of `train(*args)`, after one small warm-up call
+    that makes any one-time lookup."""
+    latents, labels = args[:2]
+    train(latents[:10], labels[:10], Rng(0), 1)
+    tracemalloc.start()
+    try:
+        out = train(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_classifier_allocates_its_buffers_once():
+    rng = Rng(5)
+    labels = rng.integers(0, 200, size=1000)
+    latents = rng.standard_normal(1000, 64) + 0.01 * labels[:, None]
+    latents = latents.astype(np.float32)
+    peak, got = _traced_peak(train_softmax_classifier, latents, labels,
+                             Rng(1), 2)
+    reference, (w, b) = _traced_peak(_allocating_classifier, latents, labels,
+                                     Rng(1), 2)
+    assert got.w.tobytes() == w.tobytes() and got.b.tobytes() == b.tobytes()
+    # at least two logits-sized float32 arrays of a full batch fewer
+    assert peak <= reference - 2 * evaluation.CLASSIFIER_BATCH * 200 * 4
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -7,6 +7,7 @@ from zsalign import (GaussianParams, Rng, Tensor, coral,
                      finite_difference_check, gaussian_w2, icoral,
                      kl_to_standard_normal, l1_reconstruction,
                      sliced_wasserstein_discrepancy, softmax_cross_entropy)
+from zsalign.losses import softmax_cross_entropy_grad
 from zsalign.tensor import softmax
 
 
@@ -114,6 +115,22 @@ def test_cross_entropy_matches_unshifted_oracle():
     p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     want = -np.mean(np.log(p[np.arange(8), labels]))
     assert abs(float(loss.data) - want) < 1e-10
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_grad_bitwise_matches_formula_in_place(dtype):
+    rng = Rng(11)
+    n, k = 13, 7  # a row count that is not a multiple of 8
+    logits = rng.standard_normal(n, k, dtype=dtype) * 3
+    labels = rng.integers(0, k, size=n)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    g = dtype(0.7)
+    onehot = np.zeros((n, k), dtype=dtype)
+    onehot[np.arange(n), labels] = 1
+    want = (e / e.sum(1, keepdims=True) - onehot) * (g / n)
+    got = softmax_cross_entropy_grad(e, labels, g)
+    assert got is e
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_cross_entropy_label_out_of_range():
