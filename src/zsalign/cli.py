@@ -133,7 +133,9 @@ def write_manifest(out, cfg, seed):
         "package_version": __version__,
         "numpy_version": np.__version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        # the bytes a run writes are pinned at a fixed BLAS and thread count
+        # the bytes a run writes depend on the BLAS build; on the thread
+        # and CPU counts only where no OpenBLAS control is found
+        # (README "Determinism")
         "blas": blas.get("name", "unknown"),
         "blas_version": blas.get("version", "unknown"),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),

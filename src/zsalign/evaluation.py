@@ -5,11 +5,7 @@ attributes (plus, for GZSL, latents of real seen-class training features),
 then evaluated on encoded test features with per-class top-1 accuracy.
 """
 
-import contextlib
-import ctypes
-import functools
 import json
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -20,7 +16,7 @@ from .losses import softmax_cross_entropy  # noqa: F401
 from .nn import Linear
 from .optim import Adam
 from .rng import Rng
-from .tensor import Tensor, check_fields, check_finite
+from .tensor import Tensor, _one_blas_thread, check_fields, check_finite
 
 @dataclass
 class EvalCounts:
@@ -129,44 +125,6 @@ class LatentClassifier:
     def predict(self, z):
         logits = z @ self.w + self.b
         return self.class_ids[np.argmax(logits, axis=1)]
-
-
-@functools.cache
-def _openblas_thread_setter():
-    """`openblas_set_num_threads_local` of the OpenBLAS that numpy loaded,
-    found among the files mapped into this process (Linux), or None where
-    no such library or symbol is found. The call sets OpenBLAS's thread
-    count and returns the count it replaced."""
-    try:
-        with open("/proc/self/maps") as maps:
-            # a line that names a file holds six fields, the last its path
-            paths = {line.split(None, 5)[5].strip() for line in maps
-                     if "openblas" in line}
-    except OSError:
-        return None
-    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
-        try:
-            setter = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-        return setter
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS to one thread inside the block and restore its count
-    after it; do nothing where `_openblas_thread_setter` finds no control."""
-    setter = _openblas_thread_setter()
-    if setter is None:
-        yield
-        return
-    before = setter(1)
-    try:
-        yield
-    finally:
-        setter(before)
 
 
 def train_softmax_classifier(latents, labels, rng, epochs=30):
@@ -292,13 +250,15 @@ TEST_SPLITS = {"CZSL": ("test_unseen_idx",),
 
 def _score(mode, model, ds, counts, rng, use_mean):
     """One per-class accuracy table per split in `TEST_SPLITS[mode]`, of a
-    classifier trained on latents synthesized for `mode`."""
+    classifier trained on latents synthesized for `mode`, every product
+    at one OpenBLAS thread (`tensor._one_blas_thread`)."""
     r_synth, r_train, *r_tests = rng.spawn(2 + len(TEST_SPLITS[mode]))
-    z, y = synthesize_latents(model, ds, counts, r_synth, mode)
-    classifier = train_softmax_classifier(z, y, r_train)
-    return [per_class_top1(classifier, model, ds, getattr(ds, split), r,
-                           use_mean)
-            for split, r in zip(TEST_SPLITS[mode], r_tests)]
+    with _one_blas_thread():
+        z, y = synthesize_latents(model, ds, counts, r_synth, mode)
+        classifier = train_softmax_classifier(z, y, r_train)
+        return [per_class_top1(classifier, model, ds, getattr(ds, split), r,
+                               use_mean)
+                for split, r in zip(TEST_SPLITS[mode], r_tests)]
 
 
 def czsl_eval(model, ds, counts=None, rng=None, seed=0, use_mean=False):

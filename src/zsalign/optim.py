@@ -35,13 +35,18 @@ step makes.
 
 A step walks `data`, `grad` and the moments in `_CHUNK`-element slices;
 its temporaries are the gradient slice itself, cleared when the slice is
-done, and one scratch buffer allocated once. The slice is sized for the
-L2 cache: the five float32 slices a step touches take 1.25 MB at 65,536
-elements, inside a 2 MiB L2 per core. Steps over the three paper-scale
-partitions took a median 64-74 ms at 16K elements, 55-62 ms at 64K and
-62-67 ms at 128K, and over the bench_fit partitions 379-398 us at 16K
-and 291-311 us at 64K (2-vCPU Xeon VM). The result is bitwise identical
-to the whole-array update in the parameters' dtype
+done, and one scratch slice per half of a step, allocated once. Inside
+`tensor._one_blas_thread` a step over at least `SPLIT_CHUNKS` slices
+runs as two halves cut at the slice boundary nearest the middle, the
+second on the helper thread (`tensor._in_halves`); no element's update
+reads another's, so the halves give the serial loop's bytes. The slice
+is sized for the L2 cache: the five float32 slices a step touches take
+1.25 MB at 65,536 elements, inside a 2 MiB L2 per core. Steps over the
+three paper-scale partitions took a median 64-74 ms at 16K elements,
+55-62 ms at 64K and 62-67 ms at 128K, and over the bench_fit partitions
+379-398 us at 16K and 291-311 us at 64K (2-vCPU Xeon VM), each serial.
+The result is bitwise identical to the whole-array update in the
+parameters' dtype
 
     m = b1 * m + (1 - b1) * g
     v = b2 * v + (1 - b2) * g * g
@@ -56,11 +61,11 @@ In float32 a finite gradient can overflow the second moment: with
 b2 = 0.999, `(1 - b2) * g * g` is infinite for |g| above about 5.8e20,
 and on the first step `v / (1 - b2)` already for |g| above 1.8e19. An
 infinite `v` or denominator would silently freeze that element, so any
-overflow in a step raises `NonFiniteError` instead, which ends training
-with the state partly updated. Tiny gradients have a cost but no fault:
-for 1.2e-21 < |g| < 3.4e-18, `(1 - b2) * g * g` is subnormal, and a
-64x200 classifier step over such gradients took 582 us against 67 us on
-a 2-vCPU VM.
+overflow in a step, in either half, raises `NonFiniteError` instead,
+which ends training with the state partly updated. Tiny gradients have a
+cost but no fault: for 1.2e-21 < |g| < 3.4e-18, `(1 - b2) * g * g` is
+subnormal, and a 64x200 classifier step over such gradients took 582 us
+against 67 us on a 2-vCPU VM.
 No gradient fell in that window in the evaluations of the bench_fit and
 paper_eval benchmarks or in a 100-epoch acceptance training, so nothing
 guards it. (The first moment of an element whose gradient stays zero
@@ -72,9 +77,11 @@ import mmap
 
 import numpy as np
 
-from .tensor import NonFiniteError
+from .tensor import NonFiniteError, _in_halves, splitting
 
 _CHUNK = 1 << 16
+# chunks from which a step runs as two halves while `tensor.splitting()`
+SPLIT_CHUNKS = 4
 
 
 def _mapped_zeros(n, dtype):
@@ -113,7 +120,8 @@ class Adam:
             start = stop
         self._views = [(p.data, p.grad) for p in self.params]
         self.m, self.v = _mapped_zeros(n, dtype), _mapped_zeros(n, dtype)
-        self._denom = np.empty(min(n, _CHUNK), dtype=dtype)
+        # one scratch slice per half of a step
+        self._denom = np.empty((2, min(n, _CHUNK)), dtype=dtype)
 
     def step(self):
         for p, (data, grad) in zip(self.params, self._views):
@@ -125,11 +133,12 @@ class Adam:
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         c1, c2 = 1 - b1, 1 - b2
         bc1, bc2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        try:
+
+        def update(starts, denom):
             with np.errstate(over="raise"):
-                for start in range(0, self.data.size, _CHUNK):
+                for start in starts:
                     stop = min(start + _CHUNK, self.data.size)
-                    g, d = self.grad[start:stop], self._denom[:stop - start]
+                    g, d = self.grad[start:stop], denom[:stop - start]
                     m, v = self.m[start:stop], self.v[start:stop]
                     np.multiply(g, c2, out=d)
                     d *= g
@@ -146,6 +155,15 @@ class Adam:
                     g /= d
                     self.data[start:stop] -= g
                     g[...] = 0
+
+        starts = range(0, self.data.size, _CHUNK)
+        try:
+            if len(starts) >= SPLIT_CHUNKS and splitting():
+                half = len(starts) // 2
+                _in_halves(lambda: update(starts[:half], self._denom[0]),
+                           lambda: update(starts[half:], self._denom[1]))
+            else:
+                update(starts, self._denom[0])
         except FloatingPointError as e:
             raise NonFiniteError(f"adam step {self.t}: {e}") from None
         for p in self.params:

@@ -22,9 +22,29 @@ product's output rows, never its reduction over the batch, and every
 OpenBLAS 0.3.31 product tried (paper and bench shapes, at 1 and 2
 threads) gave the whole product's bits. The write, a blocked add and every
 `_accumulate` clear the mark.
+
+Halves. Inside `_one_blas_thread`, where an OpenBLAS control is found,
+a product of at least `SPLIT_MACS` multiply-adds runs as two parts fixed
+by its shapes alone, the second on one helper thread (`_in_halves`)
+while the caller runs the first. `x @ w` and `g @ w.T` are cut by output
+columns, a weight gradient written into its known-zero slot by output
+rows, each at the multiple of 64 nearest the middle (`_cut`); a blocked
+add gives each thread half of its row blocks. Every part writes its own
+slice of the result in place. Both threads run at one OpenBLAS thread,
+and each part is bitwise that slice of the unsplit product at one thread
+(every paper-scale product tried; a three-way column cut of 50x64x660
+was not), so the bytes depend on neither the configured BLAS thread
+count nor the CPU count. `optim.Adam` halves its steps the same way.
 """
 
+import contextlib
+import ctypes
+import functools
 import numbers
+import os
+import queue
+import sys
+import threading
 
 import numpy as np
 
@@ -34,6 +54,127 @@ FD_STEP = 1e-5
 
 # elements of a product added to a gradient at a time (1 MB in float32)
 BLOCK = 1 << 18
+
+# multiply-adds from which a product runs as two halves (module docstring)
+SPLIT_MACS = 1 << 22
+_NEVER = sys.maxsize
+_split_from = _NEVER  # SPLIT_MACS while `_one_blas_thread` holds a control
+
+
+@functools.cache
+def _openblas_thread_setter():
+    """`openblas_set_num_threads_local` of the OpenBLAS that numpy loaded,
+    found among the files mapped into this process (Linux), or None where
+    no such library or symbol is found. The call sets OpenBLAS's thread
+    count and returns the count it replaced."""
+    try:
+        with open("/proc/self/maps") as maps:
+            # a line that names a file holds six fields, the last its path
+            paths = {line.split(None, 5)[5].strip() for line in maps
+                     if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread inside the block, and split large
+    products and `Adam` steps into halves there; restore both after it.
+    Do nothing where `_openblas_thread_setter` finds no control."""
+    global _split_from
+    setter = _openblas_thread_setter()
+    if setter is None:
+        yield
+        return
+    before, split_from = setter(1), _split_from
+    _split_from = SPLIT_MACS
+    try:
+        yield
+    finally:
+        _split_from = split_from
+        setter(before)
+
+
+def splitting():
+    """Whether work is being split into halves (`_one_blas_thread`)."""
+    return _split_from != _NEVER
+
+
+def _serve(jobs):
+    """The helper thread: at one OpenBLAS thread, run each `(job, reply)`
+    taken from `jobs` and put the job's exception, or None, in `reply`."""
+    setter = _openblas_thread_setter()
+    if setter is not None:
+        setter(1)
+    while True:
+        job, reply = jobs.get()
+        try:
+            job()
+        except BaseException as e:  # raised again by the caller
+            reply.put(e)
+        else:
+            reply.put(None)
+
+
+_jobs = None  # the helper thread's queue, once it is started
+
+
+def _forget_helper():
+    # a forked child has only the thread that forked
+    global _jobs
+    _jobs = None
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _in_halves(first, second):
+    """Run `second()` on the helper thread, started on first use, while
+    this thread runs `first()`; return when both are done, raising the
+    first's exception, else the second's. Each call waits on a reply queue
+    of its own, so a wait cut short (by an interrupt) leaves no stale
+    reply for the next."""
+    global _jobs
+    if _jobs is None:
+        _jobs = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(_jobs,), name="zsalign-half",
+                         daemon=True).start()
+    reply = queue.SimpleQueue()
+    _jobs.put((second, reply))
+    try:
+        first()
+    finally:
+        error = reply.get()
+    if error is not None:
+        raise error
+
+
+def _cut(n):
+    """The multiple of 64 nearest n / 2, or None if it is 0 or n."""
+    c = (n + 64) // 128 * 64
+    return c if 0 < c < n else None
+
+
+def _product(a, b):
+    """`a @ b`; from `_split_from` multiply-adds on, in two halves cut by
+    output columns (module docstring)."""
+    if a.size * b.shape[-1] < _split_from:
+        return a @ b
+    c = _cut(b.shape[-1])
+    if c is None or a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]), np.result_type(a, b))
+    _in_halves(lambda: np.matmul(a, b[:, :c], out=out[:, :c]),
+               lambda: np.matmul(a, b[:, c:], out=out[:, c:]))
+    return out
 
 
 class NonFiniteError(ValueError):
@@ -110,16 +251,32 @@ class Tensor:
         a slot known to be all zero takes the product itself, written in
         place, and any other slot adds it in blocks of `BLOCK` elements,
         whole rows of the product at a time."""
-        if self.grad is not None and self._zero_grad is self.grad:
-            np.matmul(a, b, out=self.grad)
+        split = a.size * b.shape[1] >= _split_from
+        grad = self.grad
+        if grad is not None and self._zero_grad is grad:
+            c = _cut(a.shape[0]) if split else None
+            if c is None:
+                np.matmul(a, b, out=grad)
+            else:
+                _in_halves(lambda: np.matmul(a[:c], b, out=grad[:c]),
+                           lambda: np.matmul(a[c:], b, out=grad[c:]))
             self._zero_grad = None
             return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+        if grad is None:
+            grad = self.grad = np.zeros_like(self.data)
         rows = max(1, BLOCK // b.shape[1])
-        for r in range(0, a.shape[0], rows):
-            block = self.grad[r:r + rows]
-            block += (a[r:r + rows] @ b).astype(self.dtype, copy=False)
+        starts = range(0, a.shape[0], rows)
+
+        def add(starts):
+            for r in starts:
+                block = grad[r:r + rows]
+                block += (a[r:r + rows] @ b).astype(self.dtype, copy=False)
+
+        half = len(starts) // 2
+        if split and half:
+            _in_halves(lambda: add(starts[:half]), lambda: add(starts[half:]))
+        else:
+            add(starts)
         self._zero_grad = None
 
     def backward(self):
@@ -182,11 +339,11 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(g @ other.data.T)
+                self._accumulate(_product(g, other.data.T))
             if other.requires_grad:
                 other._accumulate_product(self.data.T, g)
 
-        return node(self.data @ other.data, (self, other), backward)
+        return node(_product(self.data, other.data), (self, other), backward)
 
 
 def node(data, parents, backward):

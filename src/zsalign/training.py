@@ -25,8 +25,8 @@ from dataclasses import dataclass, asdict
 from . import losses
 from .model import GROUPS, check_fits_dataset
 from .optim import Adam
-from .tensor import (NonFiniteError, Tensor, all_finite, check_fields,
-                     softmax)
+from .tensor import (NonFiniteError, Tensor, _one_blas_thread, all_finite,
+                     check_fields, softmax)
 
 CLS_GROUPS = ("cls1", "cls2")
 ENC_GROUPS = ("enc_visual", "enc_semantic")
@@ -331,18 +331,21 @@ def train_epoch(model, ds, sched, epoch, rng, opt, flags=None):
 
 
 def fit(model, ds, sched, rng, flags=None, progress=None):
-    """Run the full schedule; returns one `train_epoch` row per epoch."""
+    """Run the full schedule; returns one `train_epoch` row per epoch.
+    Every product runs at one OpenBLAS thread (`tensor._one_blas_thread`),
+    so the bytes do not depend on the configured count."""
     check_fits_dataset(model.arch, ds)
     sched.validate()
     opt = ModelOptimizer(model, sched)
     curves = []
     epoch_rngs = rng.spawn(max(sched.epochs, 1))
-    for epoch in range(sched.epochs):
-        row = train_epoch(model, ds, sched, epoch, epoch_rngs[epoch], opt,
-                          flags)
-        curves.append(row)
-        if progress is not None:
-            progress(row)
+    with _one_blas_thread():
+        for epoch in range(sched.epochs):
+            row = train_epoch(model, ds, sched, epoch, epoch_rngs[epoch],
+                              opt, flags)
+            curves.append(row)
+            if progress is not None:
+                progress(row)
     return curves
 
 

@@ -475,34 +475,57 @@ def test_ablate_row_is_train_then_eval(tmp_path):
                    f"{c['acc']:.2f}")
 
 
+def _train_and_eval(cfg, out, threads, preexec_fn=None):
+    """`train` then `eval --seed 1` of `cfg` in child processes at
+    `OPENBLAS_NUM_THREADS=threads`; returns the checkpoint and metrics
+    bytes."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(
+                   [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    for verb in (["train", "--out", str(out)],
+                 ["eval", "--out", str(out / "eval"), "--checkpoint",
+                  str(out / "checkpoint.bin")]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "zsalign.cli", *verb, "--config",
+             str(cfg), "--seed", "1"],
+            capture_output=True, text=True, env=env, timeout=300,
+            preexec_fn=preexec_fn)
+        assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["openblas_num_threads"] == threads
+    assert {"blas", "blas_version", "nproc"} <= set(manifest)
+    return [(out / name).read_bytes() for name in (
+        "checkpoint.bin", "eval/metrics_czsl.json", "eval/metrics_gzsl.json")]
+
+
 def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # the acceptance geometry, whose products keep their bits at any
-    # OpenBLAS thread count (README "Determinism"); `eval` of the trained
-    # checkpoint writes the same metrics too
+    # the acceptance geometry; `eval` of the trained checkpoint writes the
+    # same metrics too
     from test_acceptance import BENCH_ARCH, BENCH_SYNTH
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "synth": BENCH_SYNTH, "model": BENCH_ARCH,
         "schedule": {"epochs": 3, "batch_size": 50, "swd_directions": 32}}))
-    root = pathlib.Path(__file__).resolve().parents[1]
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
-        for verb in (["train", "--out", str(out)],
-                     ["eval", "--out", str(out / "eval"), "--checkpoint",
-                      str(out / "checkpoint.bin")]):
-            proc = subprocess.run(
-                [sys.executable, "-m", "zsalign.cli", *verb, "--config",
-                 str(cfg), "--seed", "1"],
-                capture_output=True, text=True, env=env, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["openblas_num_threads"] == threads
-        assert {"blas", "blas_version", "nproc"} <= set(manifest)
-        outputs.append([(out / name).read_bytes() for name in (
-            "checkpoint.bin", "eval/metrics_czsl.json",
-            "eval/metrics_gzsl.json")])
+    outputs = [_train_and_eval(cfg, tmp_path / f"threads{threads}", threads)
+               for threads in ("1", "2")]
     assert outputs[0] == outputs[1]
+
+
+def test_k660_bytes_do_not_depend_on_blas_threads_or_cpus(tmp_path):
+    # an inner width of 660 changes a product's bits with OpenBLAS's thread
+    # count, and 50 x 128 x 660 is a split product (README "Determinism")
+    from test_acceptance import BENCH_ARCH, BENCH_SYNTH
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "synth": BENCH_SYNTH, "model": dict(BENCH_ARCH, common_hidden=660),
+        "schedule": {"epochs": 2, "swd_directions": 32}}))
+    cpu = min(os.sched_getaffinity(0))
+    outputs = [
+        _train_and_eval(cfg, tmp_path / "threads1", "1"),
+        _train_and_eval(cfg, tmp_path / "threads2", "2"),
+        # held to one CPU; this sets the child's affinity only
+        _train_and_eval(cfg, tmp_path / "one_cpu", "2",
+                        lambda: os.sched_setaffinity(0, {cpu})),
+    ]
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zsalign import evaluation
+from zsalign import evaluation, tensor
 from zsalign import (Adam, Architecture, EvalCounts, Linear, Model, Rng,
                      SynthConfig, Tensor, czsl_eval, gzsl_eval, harmonic_mean,
                      per_class_top1, softmax_cross_entropy, synth_generate,
@@ -349,7 +349,7 @@ def _blas_threads(setter):
 
 
 def test_classifier_steps_on_one_blas_thread(monkeypatch):
-    setter = evaluation._openblas_thread_setter()
+    setter = tensor._openblas_thread_setter()
     if setter is None:
         pytest.skip("no OpenBLAS thread control found")
     counts = []
@@ -375,8 +375,7 @@ def test_classifier_steps_on_one_blas_thread(monkeypatch):
         # without the control the steps run at the configured count, to
         # the same bytes
         counts.clear()
-        monkeypatch.setattr(evaluation, "_openblas_thread_setter",
-                            lambda: None)
+        monkeypatch.setattr(tensor, "_openblas_thread_setter", lambda: None)
         free = train_softmax_classifier(latents, labels, Rng(1), epochs=2)
         assert len(counts) == 6 and set(counts) == {2}
     finally:

@@ -1,9 +1,13 @@
+import multiprocessing
 import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from zsalign import optim, tensor
 from zsalign import (Adam, Architecture, GaussianParams, Linear, Mlp, Model,
                      Rng, SynthConfig, Tensor, TrainSchedule, batch_iter,
                      coral, finite_difference_check, gaussian_w2, icoral,
@@ -764,3 +768,162 @@ def test_unit_sphere_norms_and_dim1():
 def test_unit_sphere_uniformity():
     d = Rng(1).unit_directions(100_000, 3, dtype=np.float64)
     assert np.linalg.norm(d.mean(axis=0)) < 0.02
+
+
+# ---- halves on the helper thread ------------------------------------------
+
+def _blas_setter():
+    setter = tensor._openblas_thread_setter()
+    if setter is None:
+        pytest.skip("no OpenBLAS thread control found")
+    return setter
+
+
+def _spy_halves(monkeypatch, owner, setter):
+    """Wrap `owner._in_halves` so that each call records the OpenBLAS count
+    and thread name its second half ran at."""
+    real, seen = tensor._in_halves, []
+
+    def spy(first, second):
+        def watched():
+            count = setter(1)
+            setter(count)
+            seen.append((count, threading.current_thread().name))
+            second()
+        real(first, watched)
+
+    monkeypatch.setattr(owner, "_in_halves", spy)
+    return seen
+
+
+# (m, k, n) of `x @ w`: the default Architecture's layers at batch 50, its
+# 64-row evaluation blocks, and one bench-scale product below SPLIT_MACS
+SPLIT_SHAPES = [(50, 2048, 2048), (50, 312, 2048), (50, 2048, 1560),
+                (50, 1560, 64), (50, 64, 1660), (50, 1660, 2048),
+                (50, 64, 660), (50, 660, 312), (50, 2048, 150),
+                (64, 2048, 2048), (64, 1560, 64), (50, 256, 128)]
+
+
+@pytest.mark.parametrize("shape", SPLIT_SHAPES,
+                         ids=["x".join(map(str, s)) for s in SPLIT_SHAPES])
+def test_split_product_bitwise_matches_unsplit(monkeypatch, shape):
+    setter = _blas_setter()
+    seen = _spy_halves(monkeypatch, tensor, setter)
+    m, k, n = shape
+    gen = np.random.default_rng(m * k + n)
+    x, g, g2 = (gen.standard_normal(s).astype(np.float32)
+                for s in ((m, k), (m, n), (m, n)))
+    w = Tensor(gen.standard_normal((k, n)).astype(np.float32),
+               requires_grad=True)
+    Adam([w])  # marks w's gradient slot known zero
+    big = m * k * n >= tensor.SPLIT_MACS
+    with tensor._one_blas_thread():
+        assert setter(1) == 1
+        # forward and `g @ w.T`, each cut by output columns
+        assert (tensor._product(x, w.data).tobytes()
+                == np.matmul(x, w.data).tobytes())
+        assert (tensor._product(g, w.data.T).tobytes()
+                == np.matmul(g, w.data.T).tobytes())
+        # `x.T @ g` written into the known-zero slot (cut by rows), then
+        # a second contribution added in row blocks (half to each thread)
+        w._accumulate_product(x.T, g)
+        want = np.matmul(x.T, g)
+        assert w.grad.tobytes() == want.tobytes()
+        w._accumulate_product(x.T, g2)
+        want += np.matmul(x.T, g2)
+        assert w.grad.tobytes() == want.tobytes()
+    # a cut at the multiple of 64 nearest the middle needs over 64 columns
+    # or rows; the blocked add needs two row blocks
+    splits = [n > 64, k > 64, k > 64, k > max(1, tensor.BLOCK // n)]
+    assert len(seen) == (sum(splits) if big else 0)
+    assert all(s == (1, "zsalign-half") for s in seen)
+
+
+def test_in_halves_waits_for_both_and_raises_the_first_error():
+    done = []
+
+    def slow(error=None):
+        def run():
+            time.sleep(0.05)
+            done.append(threading.current_thread().name)
+            if error:
+                raise error
+        return run
+
+    def fail():
+        raise KeyError("first")
+
+    with pytest.raises(KeyError, match="first"):
+        tensor._in_halves(fail, slow(ValueError("second")))
+    assert done == ["zsalign-half"]  # the caller waited for the helper
+    with pytest.raises(ValueError, match="second"):
+        tensor._in_halves(lambda: None, slow(ValueError("second")))
+    tensor._in_halves(lambda: None, slow())
+    assert done == ["zsalign-half"] * 3
+
+
+def test_nothing_is_split_without_an_openblas_control(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tensor, "_openblas_thread_setter", lambda: None)
+    for owner in (tensor, optim):
+        monkeypatch.setattr(owner, "_in_halves",
+                            lambda first, second: calls.append(1))
+    x = np.ones((64, 2048), dtype=np.float32)
+    w = Tensor(np.ones((2048, 2048), dtype=np.float32), requires_grad=True)
+    opt = Adam([w])
+    with tensor._one_blas_thread():
+        assert not tensor.splitting()
+        assert (Tensor(x) @ w).data.tobytes() == (x @ w.data).tobytes()
+        w._accumulate_product(x.T, np.ones((64, 2048), dtype=np.float32))
+        opt.step()
+    assert calls == []
+
+
+def test_helper_restarts_in_a_forked_child():
+    _blas_setter()
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method")
+    x = np.ones((50, 2048), dtype=np.float32)
+    w = np.full((2048, 2048), 0.5, dtype=np.float32)
+    with tensor._one_blas_thread():
+        want = tensor._product(x, w).tobytes()
+    assert tensor._jobs is not None
+
+    def child():
+        assert tensor._jobs is None
+        with tensor._one_blas_thread():
+            ok = tensor._product(x, w).tobytes() == want
+        os._exit(0 if ok and tensor._jobs is not None else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    if proc.exitcode is None:
+        proc.kill()
+        proc.join()
+        pytest.fail("a forked child waited on the parent's helper thread")
+    assert proc.exitcode == 0
+
+
+def test_adam_halves_bitwise_match_serial_chunks(monkeypatch):
+    setter = _blas_setter()
+    seen = _spy_halves(monkeypatch, optim, setter)
+    gen = np.random.default_rng(11)
+    init = gen.standard_normal((5 * _CHUNK - 3,)).astype(np.float32)
+    params = [Tensor(init.reshape(-1, 1).copy(), requires_grad=True)
+              for _ in range(2)]
+    halved, serial = Adam(params[:1], lr=1e-3), Adam(params[1:], lr=1e-3)
+    for step in range(3):
+        g = (gen.standard_normal(init.size)
+             * 10.0 ** gen.uniform(-6, 2, init.size)).astype(np.float32)
+        m = gen.standard_normal(init.size).astype(np.float32)
+        v = gen.uniform(0, 2, init.size).astype(np.float32)
+        for opt in (halved, serial):
+            opt.grad[...], opt.m[...], opt.v[...] = g, m, v
+        with tensor._one_blas_thread():
+            halved.step()
+        serial.step()
+        for name in ("data", "m", "v", "grad"):
+            assert (getattr(halved, name).tobytes()
+                    == getattr(serial, name).tobytes()), (step, name)
+    assert seen == [(1, "zsalign-half")] * 3

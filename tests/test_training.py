@@ -9,7 +9,7 @@ from zsalign import (AblationFlags, Adam, Architecture, Model, Rng,
                      save_checkpoint, schedule_weights, step_joint,
                      step_max_discrepancy, step_min_discrepancy,
                      synth_generate, write_curves)
-from zsalign import gradcheck, losses, nn, training
+from zsalign import gradcheck, losses, nn, optim, tensor, training
 from zsalign.training import (CLS_GROUPS, CURVES_HEADER, ENC_GROUPS,
                               PHASE_PARTITIONS, ModelOptimizer,
                               TrainingDivergence, joint_terms, train_epoch)
@@ -690,6 +690,37 @@ def test_adam_overflow_is_a_divergence_naming_the_partition():
                        "'enc' in the min step") as e:
         opt.step("min")
     assert (e.value.term, e.value.partition) == ("update", "enc")
+
+
+def test_adam_overflow_in_the_helpers_half_names_the_partition(monkeypatch,
+                                                               capfd):
+    if tensor._openblas_thread_setter() is None:
+        pytest.skip("no OpenBLAS thread control found")
+    # small chunks, so that the small model's 'enc' partition is halved
+    monkeypatch.setattr(optim, "_CHUNK", 64)
+    real, raised = optim._in_halves, []
+
+    def spy(first, second):
+        def watched():
+            try:
+                second()
+            except FloatingPointError as e:
+                raised.append(e)
+                raise
+        real(first, watched)
+
+    monkeypatch.setattr(optim, "_in_halves", spy)
+    ds, model, sched = small_setup()
+    opt = ModelOptimizer(model, sched)
+    assert opt.adams["enc"].data.size >= optim.SPLIT_CHUNKS * 64
+    opt.adams["enc"].grad[-1] = 1e21  # in the last chunk: the helper's half
+    with tensor._one_blas_thread():
+        with pytest.raises(TrainingDivergence, match="Adam update of "
+                           "partition 'enc' in the min step") as e:
+            opt.step("min")
+    assert (e.value.term, e.value.partition) == ("update", "enc")
+    assert len(raised) == 1
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_adam_overflow_in_training_names_epoch_and_batch(scale_backward):
