@@ -35,6 +35,16 @@ and each part is bitwise that slice of the unsplit product at one thread
 (every paper-scale product tried; a three-way column cut of 50x64x660
 was not), so the bytes depend on neither the configured BLAS thread
 count nor the CPU count. `optim.Adam` halves its steps the same way.
+
+The helper sleeps between parts, and the kernel sometimes wakes it on
+the caller's own busy CPU while another one idles; the two parts then
+take turns on one CPU until a load balance separates them. On a 2-vCPU
+KVM guest this befell about 10% of the splits of a 64x2048x2048 forward
+in one stretch and all of them in another, where a split took a median
+5.6-5.9 ms against 3.5-3.9 ms with the helper moved off. So the caller
+names its CPU with each part, and a helper woken on that CPU moves
+itself off it (`_leave_cpu`) before it starts; where no `sched_getcpu`
+or affinity control is found it stays put.
 """
 
 import contextlib
@@ -108,14 +118,47 @@ def splitting():
     return _split_from != _NEVER
 
 
+@functools.cache
+def _cpu_reader():
+    """`sched_getcpu` of the C library, the CPU the calling thread runs
+    on, or None where it or `os.sched_setaffinity` is not found."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        getcpu = ctypes.CDLL(None).sched_getcpu
+    except (OSError, AttributeError):
+        return None
+    getcpu.argtypes, getcpu.restype = [], ctypes.c_int
+    return getcpu
+
+
+def _leave_cpu(cpu):
+    """Move this thread off `cpu` if it may run elsewhere: narrowing its
+    affinity to the other CPUs migrates it at once; then restore it."""
+    try:
+        allowed = os.sched_getaffinity(0)
+        others = allowed - {cpu}
+        if others and cpu in allowed:
+            try:
+                os.sched_setaffinity(0, others)
+            finally:
+                os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass
+
+
 def _serve(jobs):
-    """The helper thread: at one OpenBLAS thread, run each `(job, reply)`
-    taken from `jobs` and put the job's exception, or None, in `reply`."""
+    """The helper thread: at one OpenBLAS thread, run each `(job, reply,
+    cpu)` taken from `jobs`, first leaving `cpu`, the caller's, if it was
+    woken there, and put the job's exception, or None, in `reply`."""
     setter = _openblas_thread_setter()
     if setter is not None:
         setter(1)
+    getcpu = _cpu_reader()
     while True:
-        job, reply = jobs.get()
+        job, reply, cpu = jobs.get()
+        if cpu >= 0 and getcpu() == cpu:
+            _leave_cpu(cpu)
         try:
             job()
         except BaseException as e:  # raised again by the caller
@@ -139,8 +182,9 @@ os.register_at_fork(after_in_child=_forget_helper)
 def _in_halves(first, second):
     """Run `second()` on the helper thread, started on first use, while
     this thread runs `first()`; return when both are done, raising the
-    first's exception, else the second's. Each call waits on a reply queue
-    of its own, so a wait cut short (by an interrupt) leaves no stale
+    first's exception, else the second's. The helper is told this thread's
+    CPU (-1 if unknown), so as not to share it. Each call waits on a reply
+    queue of its own, so a wait cut short (by an interrupt) leaves no stale
     reply for the next."""
     global _jobs
     if _jobs is None:
@@ -148,7 +192,8 @@ def _in_halves(first, second):
         threading.Thread(target=_serve, args=(_jobs,), name="zsalign-half",
                          daemon=True).start()
     reply = queue.SimpleQueue()
-    _jobs.put((second, reply))
+    getcpu = _cpu_reader()
+    _jobs.put((second, reply, -1 if getcpu is None else getcpu()))
     try:
         first()
     finally:

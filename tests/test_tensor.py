@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import queue
 import threading
 import time
 import tracemalloc
@@ -860,6 +861,44 @@ def test_in_halves_waits_for_both_and_raises_the_first_error():
         tensor._in_halves(lambda: None, slow(ValueError("second")))
     tensor._in_halves(lambda: None, slow())
     assert done == ["zsalign-half"] * 3
+
+
+def test_helper_leaves_the_cpu_it_was_woken_on_if_the_callers(monkeypatch):
+    left = []
+    monkeypatch.setattr(tensor, "_openblas_thread_setter", lambda: None)
+    monkeypatch.setattr(tensor, "_cpu_reader", lambda: lambda: 5)
+    monkeypatch.setattr(tensor, "_leave_cpu", left.append)
+    jobs = queue.SimpleQueue()
+    threading.Thread(target=tensor._serve, args=(jobs,), daemon=True).start()
+    for cpu in (5, 4, -1, 5):  # the caller's CPU; the helper reads 5
+        reply = queue.SimpleQueue()
+        jobs.put((lambda: None, reply, cpu))
+        assert reply.get(timeout=60) is None
+    assert left == [5, 5]
+
+
+def test_leave_cpu_moves_the_thread_and_restores_its_affinity():
+    getcpu = tensor._cpu_reader()
+    allowed = os.sched_getaffinity(0) if getcpu is not None else set()
+    if len(allowed) < 2:
+        pytest.skip("needs sched_getcpu and two allowed CPUs")
+    seen = []
+
+    def run():
+        for _ in range(10):
+            cpu = getcpu()
+            tensor._leave_cpu(cpu)
+            seen.append((cpu, getcpu(), os.sched_getaffinity(0)))
+        tensor._leave_cpu(-1)  # no such CPU: nothing to leave
+        seen.append(os.sched_getaffinity(0))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert all(before != after and after in allowed and mask == allowed
+               for before, after, mask in seen[:-1])
+    assert seen[-1] == allowed
 
 
 def test_nothing_is_split_without_an_openblas_control(monkeypatch):
