@@ -44,7 +44,11 @@ in one stretch and all of them in another, where a split took a median
 5.6-5.9 ms against 3.5-3.9 ms with the helper moved off. So the caller
 names its CPU with each part, and a helper woken on that CPU moves
 itself off it (`_leave_cpu`) before it starts; where no `sched_getcpu`
-or affinity control is found it stays put.
+or affinity control is found it stays put. At other moments waking the
+helper's idle CPU took about 2 ms, longer than the second part of many
+a product; a part the helper has not started by the time the caller's
+is done is run by the caller instead, at the same one OpenBLAS thread,
+so a split costs at most about the unsplit product.
 """
 
 import contextlib
@@ -148,17 +152,22 @@ def _leave_cpu(cpu):
 
 
 def _serve(jobs):
-    """The helper thread: at one OpenBLAS thread, run each `(job, reply,
-    cpu)` taken from `jobs`, first leaving `cpu`, the caller's, if it was
-    woken there, and put the job's exception, or None, in `reply`."""
+    """The helper thread: at one OpenBLAS thread, take each `(claim, job,
+    reply, cpu)` from `jobs` and, unless the caller has taken `claim`
+    first, take it and run `job`, then put its exception, or None, in
+    `reply`; a helper woken on `cpu`, the caller's, first moves off it."""
     setter = _openblas_thread_setter()
     if setter is not None:
         setter(1)
     getcpu = _cpu_reader()
     while True:
-        job, reply, cpu = jobs.get()
+        claim, job, reply, cpu = jobs.get()
+        if claim.locked():
+            continue  # the caller ran it and waits for no reply
         if cpu >= 0 and getcpu() == cpu:
             _leave_cpu(cpu)
+        if not claim.acquire(blocking=False):
+            continue
         try:
             job()
         except BaseException as e:  # raised again by the caller
@@ -182,22 +191,32 @@ os.register_at_fork(after_in_child=_forget_helper)
 def _in_halves(first, second):
     """Run `second()` on the helper thread, started on first use, while
     this thread runs `first()`; return when both are done, raising the
-    first's exception, else the second's. The helper is told this thread's
-    CPU (-1 if unknown), so as not to share it. Each call waits on a reply
-    queue of its own, so a wait cut short (by an interrupt) leaves no stale
-    reply for the next."""
+    first's exception, else the second's. A helper that has not started
+    `second` by the time `first` is done leaves it to this thread, which
+    then runs it rather than wait for the helper to wake. The helper is
+    told this thread's CPU (-1 if unknown), so as not to share it. Each
+    call has a reply queue of its own, so a wait cut short (by an
+    interrupt) or skipped leaves no stale reply for the next."""
     global _jobs
     if _jobs is None:
         _jobs = queue.SimpleQueue()
         threading.Thread(target=_serve, args=(_jobs,), name="zsalign-half",
                          daemon=True).start()
+    claim = threading.Lock()  # taken by the thread that runs `second`
     reply = queue.SimpleQueue()
     getcpu = _cpu_reader()
-    _jobs.put((second, reply, -1 if getcpu is None else getcpu()))
+    _jobs.put((claim, second, reply, -1 if getcpu is None else getcpu()))
+    error = None
     try:
         first()
     finally:
-        error = reply.get()
+        if claim.acquire(blocking=False):
+            try:
+                second()
+            except BaseException as e:  # raised below unless first's is
+                error = e
+        else:
+            error = reply.get()
     if error is not None:
         raise error
 

@@ -782,16 +782,25 @@ def _blas_setter():
 
 def _spy_halves(monkeypatch, owner, setter):
     """Wrap `owner._in_halves` so that each call records the OpenBLAS count
-    and thread name its second half ran at."""
+    and thread name its second half ran at. The first half waits until
+    the second has started, so the helper always takes the second."""
     real, seen = tensor._in_halves, []
 
     def spy(first, second):
+        started = threading.Event()
+
         def watched():
+            started.set()
             count = setter(1)
             setter(count)
             seen.append((count, threading.current_thread().name))
             second()
-        real(first, watched)
+
+        def after_second_starts():
+            started.wait(60)
+            first()
+
+        real(after_second_starts, watched)
 
     monkeypatch.setattr(owner, "_in_halves", spy)
     return seen
@@ -841,26 +850,68 @@ def test_split_product_bitwise_matches_unsplit(monkeypatch, shape):
 
 
 def test_in_halves_waits_for_both_and_raises_the_first_error():
-    done = []
+    done, started = [], threading.Event()
 
     def slow(error=None):
         def run():
+            started.set()
             time.sleep(0.05)
             done.append(threading.current_thread().name)
             if error:
                 raise error
         return run
 
-    def fail():
-        raise KeyError("first")
+    def after_second_starts(error=None):
+        # so that the helper, not the caller, runs the second part
+        def run():
+            assert started.wait(60)
+            started.clear()
+            if error:
+                raise error
+        return run
 
     with pytest.raises(KeyError, match="first"):
-        tensor._in_halves(fail, slow(ValueError("second")))
+        tensor._in_halves(after_second_starts(KeyError("first")),
+                          slow(ValueError("second")))
     assert done == ["zsalign-half"]  # the caller waited for the helper
     with pytest.raises(ValueError, match="second"):
-        tensor._in_halves(lambda: None, slow(ValueError("second")))
-    tensor._in_halves(lambda: None, slow())
+        tensor._in_halves(after_second_starts(), slow(ValueError("second")))
+    tensor._in_halves(after_second_starts(), slow())
     assert done == ["zsalign-half"] * 3
+
+
+def test_caller_runs_a_second_part_the_helper_has_not_started():
+    held, release, ran = threading.Event(), threading.Event(), []
+
+    def hold():
+        held.set()
+        release.wait(60)
+
+    # a first call whose second part keeps the helper busy
+    holder = threading.Thread(target=tensor._in_halves,
+                              args=(lambda: held.wait(60), hold))
+    holder.start()
+    try:
+        assert held.wait(60)
+
+        def second(error):
+            def run():
+                ran.append(threading.current_thread().name)
+                raise error
+            return run
+
+        with pytest.raises(ValueError, match="second"):
+            tensor._in_halves(lambda: None, second(ValueError("second")))
+        with pytest.raises(KeyError, match="first"):
+            tensor._in_halves(second(KeyError("first")),
+                              second(ValueError("second")))
+        # neither call waited for the helper, which is still held
+        assert not release.is_set()
+        assert ran == [threading.current_thread().name] * 3
+    finally:
+        release.set()
+        holder.join(timeout=60)
+    assert not holder.is_alive()
 
 
 def test_helper_leaves_the_cpu_it_was_woken_on_if_the_callers(monkeypatch):
@@ -872,8 +923,13 @@ def test_helper_leaves_the_cpu_it_was_woken_on_if_the_callers(monkeypatch):
     threading.Thread(target=tensor._serve, args=(jobs,), daemon=True).start()
     for cpu in (5, 4, -1, 5):  # the caller's CPU; the helper reads 5
         reply = queue.SimpleQueue()
-        jobs.put((lambda: None, reply, cpu))
+        jobs.put((threading.Lock(), lambda: None, reply, cpu))
         assert reply.get(timeout=60) is None
+    taken, reply = threading.Lock(), queue.SimpleQueue()
+    taken.acquire()  # a part the caller ran: no move, no reply
+    jobs.put((taken, lambda: None, reply, 5))
+    jobs.put((threading.Lock(), lambda: None, reply, 4))
+    assert reply.get(timeout=60) is None and reply.empty()
     assert left == [5, 5]
 
 
