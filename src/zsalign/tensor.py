@@ -30,35 +30,29 @@ while the caller runs the first. `x @ w` and `g @ w.T` are cut by output
 columns, a weight gradient written into its known-zero slot by output
 rows, each at the multiple of 64 nearest the middle (`_cut`); a blocked
 add gives each thread half of its row blocks. Every part writes its own
-slice of the result in place. Both threads run at one OpenBLAS thread,
-and each part is bitwise that slice of the unsplit product at one thread
-(every paper-scale product tried; a three-way column cut of 50x64x660
-was not), so the bytes depend on neither the configured BLAS thread
-count nor the CPU count. `optim.Adam` halves its steps the same way.
+slice of the result in place. Both threads run at one OpenBLAS thread
+(the pin sets the count of the whole process, the helper sets none of
+its own), and each part is bitwise that slice of the unsplit product at
+one thread (every paper-scale product tried; a three-way column cut of
+50x64x660 was not), so the bytes depend on neither the configured BLAS
+thread count nor the CPU count. `optim.Adam` halves its steps the same
+way.
 
-The helper sleeps between parts, and the kernel sometimes wakes it on
-the caller's own busy CPU while another one idles; the two parts then
-take turns on one CPU until a load balance separates them. On a 2-vCPU
-KVM guest this befell about 10% of the splits of a 64x2048x2048 forward
-in one stretch and all of them in another, where a split took a median
-5.6-5.9 ms against 3.5-3.9 ms with the helper moved off. So the caller
-names its CPU with each part, and a helper woken on that CPU moves
-itself off it (`_leave_cpu`) before it starts; where no `sched_getcpu`
-or affinity control is found it stays put. At other moments waking the
-helper's idle CPU took about 2 ms, longer than the second part of many
-a product; a part the helper has not started by the time the caller's
-is done is run by the caller instead, at the same one OpenBLAS thread,
-so a split costs at most about the unsplit product.
+The helper is a one-worker executor. It runs the second part unless it
+has not started it by the time the caller's part is done; the caller
+then runs it itself. The bytes are the same whichever thread runs it. A
+helper woken on the caller's CPU moves off it before it starts
+(`_leave_cpu`), where `sched_getcpu` and an affinity control are found
+(README "Performance").
 """
 
+import concurrent.futures
 import contextlib
 import ctypes
 import functools
 import numbers
 import os
-import queue
 import sys
-import threading
 
 import numpy as np
 
@@ -80,7 +74,8 @@ def _openblas_thread_setter():
     """`openblas_set_num_threads_local` of the OpenBLAS that numpy loaded,
     found among the files mapped into this process (Linux), or None where
     no such library or symbol is found. The call sets OpenBLAS's thread
-    count and returns the count it replaced."""
+    count, in OpenBLAS 0.3.31 that of the whole process despite its name,
+    and returns the count it replaced."""
     try:
         with open("/proc/self/maps") as maps:
             # a line that names a file holds six fields, the last its path
@@ -151,38 +146,21 @@ def _leave_cpu(cpu):
         pass
 
 
-def _serve(jobs):
-    """The helper thread: at one OpenBLAS thread, take each `(claim, job,
-    reply, cpu)` from `jobs` and, unless the caller has taken `claim`
-    first, take it and run `job`, then put its exception, or None, in
-    `reply`; a helper woken on `cpu`, the caller's, first moves off it."""
-    setter = _openblas_thread_setter()
-    if setter is not None:
-        setter(1)
-    getcpu = _cpu_reader()
-    while True:
-        claim, job, reply, cpu = jobs.get()
-        if claim.locked():
-            continue  # the caller ran it and waits for no reply
-        if cpu >= 0 and getcpu() == cpu:
-            _leave_cpu(cpu)
-        if not claim.acquire(blocking=False):
-            continue
-        try:
-            job()
-        except BaseException as e:  # raised again by the caller
-            reply.put(e)
-        else:
-            reply.put(None)
+def _run_off_cpu(cpu, part):
+    """The helper's task: move off `cpu`, the caller's, if woken there,
+    then run `part()`."""
+    if cpu >= 0 and _cpu_reader()() == cpu:
+        _leave_cpu(cpu)
+    part()
 
 
-_jobs = None  # the helper thread's queue, once it is started
+_helper = None  # the helper thread's executor, once it is started
 
 
 def _forget_helper():
     # a forked child has only the thread that forked
-    global _jobs
-    _jobs = None
+    global _helper
+    _helper = None
 
 
 os.register_at_fork(after_in_child=_forget_helper)
@@ -191,32 +169,28 @@ os.register_at_fork(after_in_child=_forget_helper)
 def _in_halves(first, second):
     """Run `second()` on the helper thread, started on first use, while
     this thread runs `first()`; return when both are done, raising the
-    first's exception, else the second's. A helper that has not started
-    `second` by the time `first` is done leaves it to this thread, which
-    then runs it rather than wait for the helper to wake. The helper is
-    told this thread's CPU (-1 if unknown), so as not to share it. Each
-    call has a reply queue of its own, so a wait cut short (by an
-    interrupt) or skipped leaves no stale reply for the next."""
-    global _jobs
-    if _jobs is None:
-        _jobs = queue.SimpleQueue()
-        threading.Thread(target=_serve, args=(_jobs,), name="zsalign-half",
-                         daemon=True).start()
-    claim = threading.Lock()  # taken by the thread that runs `second`
-    reply = queue.SimpleQueue()
+    first's exception, else the second's. If the helper has not started
+    `second` by the time `first` is done, `Future.cancel` takes it back
+    and this thread runs it. The helper is told this thread's CPU (-1 if
+    unknown), so as not to share it."""
+    global _helper
+    if _helper is None:
+        _helper = concurrent.futures.ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="zsalign-half")
     getcpu = _cpu_reader()
-    _jobs.put((claim, second, reply, -1 if getcpu is None else getcpu()))
+    part = _helper.submit(_run_off_cpu, -1 if getcpu is None else getcpu(),
+                          second)
     error = None
     try:
         first()
     finally:
-        if claim.acquire(blocking=False):
+        if part.cancel():
             try:
                 second()
             except BaseException as e:  # raised below unless first's is
                 error = e
         else:
-            error = reply.get()
+            error = part.exception()
     if error is not None:
         raise error
 

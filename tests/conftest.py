@@ -3,7 +3,24 @@ import struct
 
 import pytest
 
-from zsalign.tensor import node
+from zsalign.tensor import _openblas_thread_setter, node
+
+
+@pytest.fixture(autouse=True)
+def blas_thread_count_kept():
+    """Fail a test that leaves OpenBLAS's thread count changed; nothing
+    is checked where no OpenBLAS control is found."""
+    setter = _openblas_thread_setter()
+    if setter is None:
+        yield
+        return
+    before = setter(1)
+    setter(before)
+    yield
+    after = setter(1)
+    setter(after)
+    assert after == before, (f"OpenBLAS thread count left at {after}, "
+                             f"was {before}")
 
 
 @pytest.fixture

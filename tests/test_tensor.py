@@ -1,6 +1,6 @@
 import multiprocessing
 import os
-import queue
+import sys
 import threading
 import time
 import tracemalloc
@@ -846,7 +846,7 @@ def test_split_product_bitwise_matches_unsplit(monkeypatch, shape):
     # or rows; the blocked add needs two row blocks
     splits = [n > 64, k > 64, k > 64, k > max(1, tensor.BLOCK // n)]
     assert len(seen) == (sum(splits) if big else 0)
-    assert all(s == (1, "zsalign-half") for s in seen)
+    assert all(s == (1, "zsalign-half_0") for s in seen)
 
 
 def test_in_halves_waits_for_both_and_raises_the_first_error():
@@ -873,11 +873,11 @@ def test_in_halves_waits_for_both_and_raises_the_first_error():
     with pytest.raises(KeyError, match="first"):
         tensor._in_halves(after_second_starts(KeyError("first")),
                           slow(ValueError("second")))
-    assert done == ["zsalign-half"]  # the caller waited for the helper
+    assert done == ["zsalign-half_0"]  # the caller waited for the helper
     with pytest.raises(ValueError, match="second"):
         tensor._in_halves(after_second_starts(), slow(ValueError("second")))
     tensor._in_halves(after_second_starts(), slow())
-    assert done == ["zsalign-half"] * 3
+    assert done == ["zsalign-half_0"] * 3
 
 
 def test_caller_runs_a_second_part_the_helper_has_not_started():
@@ -914,23 +914,93 @@ def test_caller_runs_a_second_part_the_helper_has_not_started():
     assert not holder.is_alive()
 
 
+def test_each_second_part_runs_once_before_its_call_returns():
+    # callers racing the helper for their parts, at a short switch interval
+    tensor._in_halves(lambda: None, lambda: None)  # the helper exists
+    bad, interval = [], sys.getswitchinterval()
+
+    def caller(k):
+        for i in range(300):
+            runs = []
+            tensor._in_halves(lambda: runs.append("first"),
+                              lambda: runs.append("second"))
+            if sorted(runs) != ["first", "second"]:
+                bad.append((k, i, runs))
+
+    threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+
+
+def _on_helper(part):
+    """`tensor._in_halves` with `part` second and a first part that waits
+    until the helper has started it."""
+    started = threading.Event()
+
+    def second():
+        started.set()
+        part()
+
+    tensor._in_halves(lambda: started.wait(60), second)
+
+
 def test_helper_leaves_the_cpu_it_was_woken_on_if_the_callers(monkeypatch):
-    left = []
-    monkeypatch.setattr(tensor, "_openblas_thread_setter", lambda: None)
-    monkeypatch.setattr(tensor, "_cpu_reader", lambda: lambda: 5)
+    left, ran, caller = [], [], [5]
+    # the helper reads CPU 5, any other thread `caller[0]`
+    monkeypatch.setattr(tensor, "_cpu_reader", lambda: lambda: (
+        5 if threading.current_thread().name == "zsalign-half_0"
+        else caller[0]))
     monkeypatch.setattr(tensor, "_leave_cpu", left.append)
-    jobs = queue.SimpleQueue()
-    threading.Thread(target=tensor._serve, args=(jobs,), daemon=True).start()
-    for cpu in (5, 4, -1, 5):  # the caller's CPU; the helper reads 5
-        reply = queue.SimpleQueue()
-        jobs.put((threading.Lock(), lambda: None, reply, cpu))
-        assert reply.get(timeout=60) is None
-    taken, reply = threading.Lock(), queue.SimpleQueue()
-    taken.acquire()  # a part the caller ran: no move, no reply
-    jobs.put((taken, lambda: None, reply, 5))
-    jobs.put((threading.Lock(), lambda: None, reply, 4))
-    assert reply.get(timeout=60) is None and reply.empty()
+
+    def record():
+        ran.append(threading.current_thread().name)
+
+    for caller[0] in (5, 4, -1, 5):
+        _on_helper(record)
+    # a part the caller takes while the helper is held: no move
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        held.set()
+        release.wait(60)
+
+    caller[0] = 4
+    holder = threading.Thread(target=tensor._in_halves,
+                              args=(lambda: held.wait(60), hold))
+    holder.start()
+    try:
+        assert held.wait(60)
+        caller[0] = 5
+        tensor._in_halves(lambda: None, record)
+    finally:
+        release.set()
+        holder.join(timeout=60)
+    assert not holder.is_alive()
+    caller[0] = 4
+    _on_helper(record)  # run after the helper has passed the taken part
+    assert ran == (["zsalign-half_0"] * 4 + [threading.current_thread().name]
+                   + ["zsalign-half_0"])
     assert left == [5, 5]
+
+
+def test_a_new_helper_leaves_the_blas_thread_count(monkeypatch):
+    setter = _blas_setter()
+    monkeypatch.setattr(tensor, "_helper", None)
+    outside = setter(2)  # a count the helper must not move, outside the pin
+    try:
+        _on_helper(lambda: None)
+        count = setter(2)
+    finally:
+        setter(outside)
+    assert tensor._helper is not None and count == 2
 
 
 def test_leave_cpu_moves_the_thread_and_restores_its_affinity():
@@ -982,13 +1052,13 @@ def test_helper_restarts_in_a_forked_child():
     w = np.full((2048, 2048), 0.5, dtype=np.float32)
     with tensor._one_blas_thread():
         want = tensor._product(x, w).tobytes()
-    assert tensor._jobs is not None
+    assert tensor._helper is not None
 
     def child():
-        assert tensor._jobs is None
+        assert tensor._helper is None
         with tensor._one_blas_thread():
             ok = tensor._product(x, w).tobytes() == want
-        os._exit(0 if ok and tensor._jobs is not None else 1)
+        os._exit(0 if ok and tensor._helper is not None else 1)
 
     proc = multiprocessing.get_context("fork").Process(target=child)
     proc.start()
@@ -1021,4 +1091,4 @@ def test_adam_halves_bitwise_match_serial_chunks(monkeypatch):
         for name in ("data", "m", "v", "grad"):
             assert (getattr(halved, name).tobytes()
                     == getattr(serial, name).tobytes()), (step, name)
-    assert seen == [(1, "zsalign-half")] * 3
+    assert seen == [(1, "zsalign-half_0")] * 3

@@ -728,7 +728,7 @@ def test_adam_overflow_in_the_helpers_half_names_the_partition(monkeypatch,
                            "partition 'enc' in the min step") as e:
             opt.step("min")
     assert (e.value.term, e.value.partition) == ("update", "enc")
-    assert raised == ["zsalign-half"]
+    assert raised == ["zsalign-half_0"]
     assert "Traceback" not in capfd.readouterr().err
 
 
